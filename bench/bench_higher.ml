@@ -157,12 +157,12 @@ let run_point ~aux ~fact_rows =
   ignore (C.Service.step_all service ~budget:max_int);
   C.Service.refresh_all service;
   let aux_stats =
-    match C.Service.auxiliary service with
-    | None -> []
-    | Some reg ->
-        List.map
-          (fun ae -> C.Controller.stats (C.Auxiliary.controller ae))
-          (C.Auxiliary.entries reg)
+    List.filter_map
+      (fun (part : C.Partial.part) ->
+        if part.C.Partial.key = None then
+          Some (C.Controller.stats (C.Partial.controller part))
+        else None)
+      (C.Partial.entries (C.Service.partials service))
   in
   let stats = C.Controller.stats ctl in
   let total f = List.fold_left (fun acc st -> acc + f st) (f stats) aux_stats in

@@ -71,16 +71,15 @@ let run_point ~hotset ~theta =
   (* Propagate cost counts the whole fleet: user view plus every heavy
      partial the hotset maintains — the eager path pays for its own
      upkeep inside the same counters. *)
+  let heavies () =
+    List.filter
+      (fun (part : C.Partial.part) -> part.C.Partial.key <> None)
+      (C.Partial.entries (C.Service.partials service))
+  in
   let fleet_stats () =
-    let heavies =
-      match C.Service.hotset service with
-      | None -> []
-      | Some reg ->
-          List.map
-            (fun he -> C.Controller.stats (C.Hotset.controller he))
-            (C.Hotset.entries reg)
-    in
-    C.Controller.stats ctl :: heavies
+    C.Controller.stats ctl
+    :: List.map (fun part -> C.Controller.stats (C.Partial.controller part))
+         (heavies ())
   in
   let total f = List.fold_left (fun acc st -> acc + f st) 0 (fleet_stats ()) in
   let q0 = total C.Stats.queries and r0 = total C.Stats.rows_read in
@@ -102,11 +101,7 @@ let run_point ~hotset ~theta =
          (C.Controller.as_of ctl))
       contents
   in
-  let heavy_keys =
-    match C.Service.hotset service with
-    | None -> 0
-    | Some reg -> List.length (C.Hotset.entries reg)
-  in
+  let heavy_keys = List.length (heavies ()) in
   let point =
     {
       theta;

@@ -217,7 +217,9 @@ let status_cmd txns json domains =
      also partitions each view's most-joined relation by key frequency:
      heavy keys' partials appear below with state "heavy-partial", and the
      owner's union-read counters and partition census land in the
-     "hot h/m" and "heavy/light" columns. *)
+     "hot h/m" and "heavy/light" columns. Every part row shows its own
+     mirror lag in "aux lag", each user view the worst lag across its
+     partials' parts. *)
   let fact = W.Star.fact_table star in
   let open Roll_relation in
   let bh = C.View.binder db [ (fact, "f"); (d0, "d") ] in
@@ -577,70 +579,54 @@ let explain_cmd txns =
              (Tuple.ints
                 [ Roll_util.Prng.int rng 20; Roll_util.Prng.int rng 1000 ])))
   done;
-  let ctl =
-    C.Controller.create db2 capture hot
-      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 8))
-  in
-  let reg = C.Auxiliary.create db2 capture in
-  (match C.Auxiliary.attach reg ctl with
-  | [] -> ()
-  | ae :: _ ->
-      ignore (C.Controller.refresh_latest (C.Auxiliary.controller ae));
-      C.Auxiliary.sync ae;
-      Roll_capture.Capture.advance capture;
-      let now2 = Database.now db2 in
-      let fwd2 =
-        C.Pquery.replace (C.Pquery.all_base 2) 1
-          (C.Pquery.Win { lo = now2 - 5; hi = now2 })
-      in
-      print_endline "";
-      print_endline
-        (Printf.sprintf
-           "plan for the same forward shape with auxiliary %s fresh (α = \
-            mirror probe):"
-           (C.Auxiliary.name ae));
-      print_string (C.Executor.explain (C.Controller.ctx ctl) fwd2));
   (* The heavy-light split: a full-width unfiltered fact source is exactly
-     what the auxiliary registry skips, so a second view with no local
-     narrowing goes to the Hotset registry instead. Once keys are promoted
-     the Base term renders with an η prefix — the union of the light
-     residual and the per-heavy-key partial mirrors replaces the base
-     scan. *)
+     what narrowing skips, so a second view with no local narrowing is
+     partitioned instead. Once keys are promoted the Base term renders with
+     an η prefix — the union of the light residual and the per-heavy-key
+     partial mirrors replaces the base scan. *)
   let wide =
     C.View.create db2 ~name:"wide"
       ~sources:[ ("fact", "f"); ("dim", "d") ]
       ~predicate:[ Predicate.join (b "f" "k") (b "d" "k") ]
       ~project:[ b "f" "k"; b "f" "v"; b "f" "tag"; b "d" "w" ]
   in
-  let ctl2 =
-    C.Controller.create db2 capture wide
-      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 8))
-  in
-  let hreg = C.Hotset.create db2 capture in
-  ignore (C.Hotset.attach hreg ctl2);
-  Roll_capture.Capture.advance capture;
-  let promoted, _ = C.Hotset.rebalance hreg in
+  let reg = C.Partial.create db2 capture in
+  let hotset = C.Hotset.create reg in
   List.iter
-    (fun he -> ignore (C.Controller.refresh_latest (C.Hotset.controller he)))
-    promoted;
-  List.iter C.Hotset.sync promoted;
-  let now3 = Database.now db2 in
-  let fwd3 =
-    C.Pquery.replace (C.Pquery.all_base 2) 1
-      (C.Pquery.Win { lo = now3 - 5; hi = now3 })
-  in
-  print_endline "";
-  print_endline
-    (Printf.sprintf
-       "plan for view wide with %d heavy keys split out (η = light residual \
-        ∪ heavy partials):"
-       (List.length promoted));
-  print_string (C.Executor.explain (C.Controller.ctx ctl2) fwd3);
+    (fun (view, attach, legend) ->
+      let ctl =
+        C.Controller.create db2 capture view
+          ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 8))
+      in
+      ignore (attach ctl);
+      Roll_capture.Capture.advance capture;
+      ignore (C.Hotset.rebalance hotset);
+      let parts = C.Partial.for_owner reg ~owner:(C.View.name view) in
+      List.iter
+        (fun part ->
+          ignore (C.Controller.refresh_latest (C.Partial.controller part));
+          C.Partial.sync part)
+        parts;
+      Roll_capture.Capture.advance capture;
+      let now = Database.now db2 in
+      let fwd =
+        C.Pquery.replace (C.Pquery.all_base 2) 1
+          (C.Pquery.Win { lo = now - 5; hi = now })
+      in
+      Printf.printf "\nplan for view %s with %d maintained part%s fresh (%s):\n"
+        (C.View.name view) (List.length parts)
+        (if List.length parts = 1 then "" else "s")
+        legend;
+      print_string (C.Executor.explain (C.Controller.ctx ctl) fwd))
+    [
+      (hot, C.Partial.attach reg, "α = auxiliary mirror probe");
+      (wide, C.Hotset.attach hotset, "η = light residual ∪ heavy partials");
+    ];
   Printf.printf
     "heavy/light census: %d heavy keys, %d light rows, %d sketch keys\n"
-    (C.Hotset.heavy_count hreg ~owner:"wide")
-    (C.Hotset.light_rows hreg ~owner:"wide")
-    (C.Hotset.sketch_keys hreg)
+    (C.Hotset.heavy_count hotset ~owner:"wide")
+    (C.Hotset.light_rows hotset ~owner:"wide")
+    (C.Hotset.sketch_keys hotset)
 
 let explain_term =
   let txns = Arg.(value & opt int 50 & info [ "txns"; "n" ] ~doc:"update transactions") in

@@ -297,32 +297,20 @@ let estimate_step_cost t ~relation ~lo ~hi =
           }
         else
           let table = Database.table t.ctx.Ctx.db table_name in
-          (* A fresh auxiliary would replace this base read with a probe of
-             its (smaller) mirror; estimate with the mirror's cardinality so
-             the scheduler prices steps the way the executor will run them.
-             Index positions stay in base coordinates (what the predicate
-             references) — close enough for a cost model. *)
+          (* A fresh derived partial would replace this base read with a
+             read of its (smaller) part mirrors; estimate with their summed
+             cardinality so the scheduler prices steps the way the executor
+             will run them. Index positions stay in base coordinates (what
+             the predicate references) — close enough for a cost model. *)
           let card =
             match
-              match t.ctx.Ctx.aux with
-              | Some f -> f ~peek:true j
-              | None -> None
+              Option.bind t.ctx.Ctx.partial (fun f -> f ~peek:true j)
             with
-            | Some (a : Ctx.aux_source) ->
-                Roll_storage.Table.distinct_count a.Ctx.table
-            | None -> (
-                (* No auxiliary: a fresh heavy-light partition would read
-                   the union of its part mirrors instead. *)
-                match
-                  match t.ctx.Ctx.hot with
-                  | Some f -> f ~peek:true j
-                  | None -> None
-                with
-                | Some (h : Ctx.hot_source) ->
-                    List.fold_left
-                      (fun n p -> n + Roll_storage.Table.distinct_count p)
-                      0 h.Ctx.parts
-                | None -> Roll_storage.Table.distinct_count table)
+            | Some (s : Ctx.source) ->
+                List.fold_left
+                  (fun n p -> n + Roll_storage.Table.distinct_count p)
+                  0 s.Ctx.tables
+            | None -> Roll_storage.Table.distinct_count table
           in
           {
             Planner.name = table_name;

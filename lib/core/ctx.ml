@@ -1,18 +1,10 @@
 open Roll_storage
 open Roll_capture
 
-type aux_source = {
-  table : Table.t;  (** the auxiliary's mirror table, probed in place of the base *)
+type source = {
+  tables : Table.t list;
   cols : int array;
-      (** column remap: mirror column [k] holds base column [cols.(k)] *)
-}
-
-type hot_source = {
-  parts : Table.t list;
-      (** the partition's mirrors — light residual plus one per heavy
-          key — whose union is read in place of the base *)
-  cols : int array;
-      (** column remap: mirror column [k] holds base column [cols.(k)] *)
+  prefix : string;
 }
 
 type t = {
@@ -34,8 +26,7 @@ type t = {
   mutable obs : Roll_obs.Obs.t;
   mutable frozen_exec : Roll_delta.Time.t option;
   mutable memo_owner : int;
-  mutable aux : (peek:bool -> int -> aux_source option) option;
-  mutable hot : (peek:bool -> int -> hot_source option) option;
+  mutable partial : (peek:bool -> int -> source option) option;
 }
 
 let create ?(geometry = false) ?obs ?t_initial db capture view =
@@ -69,6 +60,5 @@ let create ?(geometry = false) ?obs ?t_initial db capture view =
     obs = (match obs with Some o -> o | None -> Roll_obs.Obs.disabled ());
     frozen_exec = None;
     memo_owner = 0;
-    aux = None;
-    hot = None;
+    partial = None;
   }

@@ -6,30 +6,22 @@
     transactions between propagation queries — the concurrency that makes
     compensation necessary. *)
 
-type aux_source = {
-  table : Roll_storage.Table.t;
-      (** the auxiliary's mirror table, probed in place of the base *)
+type source = {
+  tables : Roll_storage.Table.t list;
+      (** the partial's part mirrors, whose union is read in place of the
+          base; one table for a narrowed partial, the light residual plus
+          one per heavy key for a partitioned one *)
   cols : int array;
       (** column remap: mirror column [k] holds base column [cols.(k)] *)
+  prefix : string;
+      (** plan-name prefix for the substituted read: α for a narrowed
+          partial, η for a partitioned one *)
 }
 (** A substitutable source: a materialized per-relation partial (projection
     of a selection of one base table) the executor may read instead of the
-    base table itself. Produced by the {!Auxiliary} registry's freshness
-    closure; consuming it is only sound while the mirror equals the partial
-    applied to the base table's current committed state. *)
-
-type hot_source = {
-  parts : Roll_storage.Table.t list;
-      (** the partition's mirrors — light residual plus one per heavy
-          key — whose union is read in place of the base *)
-  cols : int array;
-      (** column remap: mirror column [k] holds base column [cols.(k)] *)
-}
-(** A substitutable partitioned source: the {!Hotset} registry's
-    heavy-light decomposition of a relation. Light ⊎ heavy is the whole
-    partial by construction, so the executor reads the union of the parts
-    (η-prefixed in plans) in place of the base table; sound under the
-    same freshness contract as {!aux_source}. *)
+    base table itself. Produced by the {!Partial} registry's freshness
+    closure; consuming it is only sound while every part equals its slice
+    of the partial applied to the base table's current committed state. *)
 
 type t = {
   db : Roll_storage.Database.t;
@@ -93,22 +85,16 @@ type t = {
       (** Work-item slot tag passed to {!Memo.add} for entries this context
           inserts, so a parallel rollback can evict exactly one step's
           entries ({!Memo.evict_since}). 0 (the default) outside waves. *)
-  mutable aux : (peek:bool -> int -> aux_source option) option;
-      (** Auxiliary-view substitution closure, installed by the
-          {!Auxiliary} registry: called with a source position whenever a
-          query term reads that source as a base relation. [Some s] means
-          "probe [s.table] instead — it is fresh"; [None] means no
-          auxiliary exists (or it lags) and the base table is read as
+  mutable partial : (peek:bool -> int -> source option) option;
+      (** Partial substitution closure, installed by the {!Partial}
+          registry: called with a source position whenever a query term
+          reads that source as a base relation. [Some s] means "read the
+          union of [s.tables] instead — every part is fresh"; [None] means
+          no partial exists (or it lags) and the base table is read as
           always. [peek:true] is the cost-estimation variant: it returns
-          the mirror whenever one exists, without the freshness test and
-          without touching the aux hit/miss counters. [None] overall (the
-          default) disables substitution. *)
-  mutable hot : (peek:bool -> int -> hot_source option) option;
-      (** Heavy-light partition substitution closure, installed by the
-          {!Hotset} registry; same contract and [peek] semantics as
-          {!aux}, consulted only where {!aux} yields nothing. [Some s]
-          means "read the union of [s.parts] instead — every part is
-          fresh". [None] overall (the default) disables partitioning. *)
+          the parts whenever a substitutable partial exists, without the
+          freshness test and without touching the hit/miss counters.
+          [None] overall (the default) disables substitution. *)
 }
 
 val create :

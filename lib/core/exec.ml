@@ -26,53 +26,52 @@ let source_of_table table =
       Some (Printf.sprintf "%s@%d" (Table.name table) (Table.version table));
   }
 
-(* An auxiliary mirror is physically a table — scannable, probe-able
-   through its secondary indexes, build-cacheable by content version — but
-   plans must show it under its provenance name (the "α" prefix mirrors the
-   "Δ" convention for delta windows), and its cache key must stay the
-   mirror's own (unique) table name so cached builds never collide with the
-   base relation's. *)
-let source_of_aux ~name table =
-  let s = source_of_table table in
-  { s with info = { s.info with Planner.name } }
-
-(* A heavy-light partition reads as the union of its part mirrors (light
-   residual + one per heavy key), which partition the substituted partial:
-   scans and index probes are disjoint merges, cardinality is the sum, and
-   only columns indexed in *every* part are advertised as probe-able. The
-   cache key concatenates each part's content-versioned key, so any change
-   to any part invalidates cached builds over the union. *)
-let source_of_union ~name parts =
-  if parts = [] then invalid_arg "Exec.source_of_union: no parts";
-  let indexed =
-    List.fold_left
-      (fun acc t ->
-        List.filter (fun cs -> List.mem cs (Table.indexed_columns t)) acc)
-      (Table.indexed_columns (List.hd parts))
-      (List.tl parts)
-  in
-  {
-    info =
+(* A derived partial reads as the union of its part mirrors. A part is
+   physically a table — scannable, probe-able through its secondary
+   indexes, build-cacheable by content version — but plans show it under
+   its provenance name (the α/η prefix mirrors the "Δ" convention for delta
+   windows). One part is read directly, with its own (unique) cache key so
+   cached builds never collide with the base relation's. Several parts
+   partition the substituted partial: scans and index probes are disjoint
+   merges, cardinality is the sum, and only columns indexed in *every* part
+   are advertised as probe-able. The cache key concatenates each part's
+   content-versioned key, so any change to any part invalidates cached
+   builds over the union. *)
+let source_of_parts ~name = function
+  | [] -> invalid_arg "Exec.source_of_parts: no parts"
+  | [ table ] ->
+      let s = source_of_table table in
+      { s with info = { s.info with Planner.name } }
+  | first :: rest as parts ->
+      let indexed =
+        List.fold_left
+          (fun acc t ->
+            List.filter (fun cs -> List.mem cs (Table.indexed_columns t)) acc)
+          (Table.indexed_columns first) rest
+      in
       {
-        Planner.name;
-        card = List.fold_left (fun n t -> n + Table.distinct_count t) 0 parts;
-        is_delta = false;
-        indexed;
-      };
-    scan = (fun () -> Cursor.merge (List.map Table.scan_cursor parts));
-    probe =
-      Some
-        (fun ~columns key ->
-          Cursor.merge
-            (List.map (fun t -> Table.probe_cursor t ~columns key) parts));
-    cache_key =
-      Some
-        (String.concat "+"
-           (List.map
-              (fun t ->
-                Printf.sprintf "%s@%d" (Table.name t) (Table.version t))
-              parts));
-  }
+        info =
+          {
+            Planner.name;
+            card =
+              List.fold_left (fun n t -> n + Table.distinct_count t) 0 parts;
+            is_delta = false;
+            indexed;
+          };
+        scan = (fun () -> Cursor.merge (List.map Table.scan_cursor parts));
+        probe =
+          Some
+            (fun ~columns key ->
+              Cursor.merge
+                (List.map (fun t -> Table.probe_cursor t ~columns key) parts));
+        cache_key =
+          Some
+            (String.concat "+"
+               (List.map
+                  (fun t ->
+                    Printf.sprintf "%s@%d" (Table.name t) (Table.version t))
+                  parts));
+      }
 
 let source_of_relation ~name r =
   {

@@ -34,19 +34,15 @@ type source = {
 val source_of_table : Roll_storage.Table.t -> source
 (** Lazy scan/probe over a base table's current committed state. *)
 
-val source_of_aux : name:string -> Roll_storage.Table.t -> source
-(** Like {!source_of_table} over an auxiliary mirror, displayed as [name]
-    (conventionally "α" + the substituted base table) so plans and explain
-    output show the substitution; the cache key stays the mirror's own
-    table name, keeping cached builds distinct from the base relation's. *)
-
-val source_of_union : name:string -> Roll_storage.Table.t list -> source
-(** The union of a heavy-light partition's part mirrors, displayed as
-    [name] (conventionally "η" + the substituted base table). Scans and
-    index probes merge the per-part cursors (the parts are disjoint by
-    construction), cardinality is the sum of the parts', and only columns
-    indexed in every part are advertised for probing. The cache key
-    concatenates the parts' content-versioned keys.
+val source_of_parts : name:string -> Roll_storage.Table.t list -> source
+(** The union of a derived partial's part mirrors, displayed as [name]
+    (the policy's prefix, α or η, + the substituted base table) so plans
+    and explain output show the substitution. A single part reads its
+    table directly and keeps the mirror's own [name@version] cache key,
+    distinct from the base relation's. Several parts (disjoint by
+    construction) merge their scan and probe cursors, sum their
+    cardinalities, advertise only columns indexed in every part, and
+    concatenate their content-versioned cache keys.
     @raise Invalid_argument on an empty part list. *)
 
 val source_of_relation : name:string -> Relation.t -> source

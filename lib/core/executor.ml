@@ -28,36 +28,25 @@ let source_of_term (ctx : Ctx.t) i = function
         ~lo ~hi
 
 (* ------------------------------------------------------------------ *)
-(* Auxiliary-view and heavy-light substitution                         *)
+(* Derived-partial substitution                                        *)
 
-(* A Base term whose source position has a fresh auxiliary view (the
-   [ctx.aux] closure, installed by the Auxiliary registry) reads the
-   auxiliary's mirror table instead of the base relation. The mirror holds
-   the per-relation partial π(σ(R_j)) — single-source atoms pre-applied,
-   only the columns the join and the projection need retained — so the
-   query is rewritten to match: pre-applied atoms are dropped, every other
-   column reference is remapped through the mirror's column map. Because a
-   fresh mirror equals the partial applied to the base table's current
-   committed state, the rewritten query emits bit-identical rows to the
-   original, and stale auxiliaries simply resolve to the base path.
-
-   Where no auxiliary applies, the [ctx.hot] closure (the Hotset registry's
-   heavy-light partitioning) is consulted next: a fresh partition reads the
-   η-union of its part mirrors — light residual plus the per-heavy-key
-   partials, which partition the same π(σ(R_j)) shape — under exactly the
-   same column-remap and atom-dropping rewrite. *)
-type sub = Aux of Ctx.aux_source | Hot of Ctx.hot_source
-
-let sub_cols = function
-  | Aux (a : Ctx.aux_source) -> a.Ctx.cols
-  | Hot (h : Ctx.hot_source) -> h.Ctx.cols
-
+(* A Base term whose source position has a fresh derived partial (the
+   [ctx.partial] closure, installed by the Partial registry) reads the
+   union of the partial's part mirrors instead of the base relation. The
+   parts hold the per-relation partial π(σ(R_j)) — single-source atoms
+   pre-applied, only the columns the join and the projection need
+   retained — narrowed into one auxiliary mirror, or split by key into a
+   light residual plus per-heavy-key partials. The query is rewritten to
+   match: pre-applied atoms are dropped, every other column reference is
+   remapped through the mirrors' column map. Because fresh parts equal the
+   partial applied to the base table's current committed state, the
+   rewritten query emits bit-identical rows to the original, and stale
+   partials simply resolve to the base path. *)
 type resolved = {
   sources : Exec.source array;
   predicate : Roll_relation.Predicate.t;
   project : Roll_relation.Tuple.t array -> Roll_relation.Tuple.t;
-  substituted : int;
-      (** how many Base terms read an auxiliary or a partition *)
+  substituted : int;  (** how many Base terms read a derived partial *)
 }
 
 let resolve (ctx : Ctx.t) (q : Pquery.t) =
@@ -70,29 +59,18 @@ let resolve (ctx : Ctx.t) (q : Pquery.t) =
       (fun i term ->
         match term with
         | Pquery.Win _ -> None
-        | Pquery.Base -> (
-            match
-              Option.bind ctx.aux (fun lookup -> lookup ~peek:false i)
-            with
-            | Some a -> Some (Aux a)
-            | None ->
-                Option.map
-                  (fun h -> Hot h)
-                  (Option.bind ctx.hot (fun lookup -> lookup ~peek:false i))))
+        | Pquery.Base ->
+            Option.bind ctx.partial (fun lookup -> lookup ~peek:false i))
       q
   in
-  let sources =
+let sources =
     Array.mapi
       (fun i term ->
         match subs.(i) with
-        | Some (Aux a) ->
-            Exec.source_of_aux
-              ~name:("\xce\xb1" ^ View.source_table view i)
-              a.Ctx.table
-        | Some (Hot h) ->
-            Exec.source_of_union
-              ~name:("\xce\xb7" ^ View.source_table view i)
-              h.Ctx.parts
+        | Some (s : Ctx.source) ->
+            Exec.source_of_parts
+              ~name:(s.Ctx.prefix ^ View.source_table view i)
+              s.Ctx.tables
         | None -> source_of_term ctx i term)
       q
   in
@@ -107,8 +85,8 @@ let resolve (ctx : Ctx.t) (q : Pquery.t) =
     let remap_col (c : P.col) =
       match subs.(c.source) with
       | None -> c
-      | Some sub ->
-          let cols = sub_cols sub in
+      | Some (s : Ctx.source) ->
+          let cols = s.Ctx.cols in
           let rec find k =
             if k >= Array.length cols then
               invalid_arg
@@ -127,7 +105,7 @@ let resolve (ctx : Ctx.t) (q : Pquery.t) =
       | P.Mul (a, b) -> P.Mul (remap_operand a, remap_operand b)
       | P.Div (a, b) -> P.Div (remap_operand a, remap_operand b)
     in
-    (* Atoms local to a substituted source were applied when the auxiliary
+    (* Atoms local to a substituted source were applied when the partial
        was derived; re-applying them is impossible anyway (their pure-filter
        columns are not in the mirror). Everything else survives, remapped. *)
     let keep atom =

@@ -14,15 +14,16 @@
     commits a WAL marker and returns the marker's commit sequence number —
     the query's serialization time.
 
-    When the context carries an auxiliary-view closure ([Ctx.aux]), Base
-    terms whose source has a {e fresh} auxiliary are resolved to the
-    auxiliary's mirror table instead of the base relation: pre-applied
-    single-source atoms are dropped from the predicate and every remaining
-    column reference is remapped into mirror coordinates before planning.
-    The rewritten query emits bit-identical rows (a fresh mirror {e is} the
-    partial applied to current state), so substitution is invisible to the
-    memo, the geometry trace and the view delta — only plans, read counts
-    and the aux hit/miss counters show it. *)
+    When the context carries a partial-substitution closure
+    ([Ctx.partial]), Base terms whose source has a {e fresh} derived
+    partial are resolved to the union of its part mirrors instead of the
+    base relation: pre-applied single-source atoms are dropped from the
+    predicate and every remaining column reference is remapped into mirror
+    coordinates before planning. The rewritten query emits bit-identical
+    rows (fresh parts {e are} the partial applied to current state), so
+    substitution is invisible to the memo, the geometry trace and the view
+    delta — only plans, read counts and the aux/hot hit/miss counters show
+    it. *)
 
 val evaluate :
   Ctx.t ->

@@ -1,24 +1,23 @@
-(* Skew-aware heavy-light partitioning (ROADMAP item 4, DESIGN.md §19).
+(* The partitioning policy for derived partials (DESIGN.md section 18).
 
-   Where the auxiliary registry (§18) narrows a relation — and therefore
+   Where narrowing materializes a relation's partial whole — and therefore
    skips relations that nothing narrows, like a star schema's fact table —
-   this registry partitions one: the view's most-joined source relation is
+   this policy partitions one: the view's most-joined source relation is
    split by join-key frequency into a small set of eagerly-maintained
-   per-key heavy partials (each an ordinary durable controller, so the
-   capture → propagate → apply → WAL/frontier path and crash recovery come
-   for free) plus one lazily-pumped light residual mirror holding every
-   other key's rows. The executor reads the η-union of the parts in place
-   of the base relation whenever every part is provably fresh.
+   per-key heavy parts (each an ordinary durable controller) plus one
+   lazily-pumped light residual holding every other key's rows. The
+   executor reads the η-union of the parts in place of the base relation
+   whenever every part is provably fresh (Partial).
 
    Class migration is the delicate part: a key's rows must move between
-   the light mirror and its heavy partial without loss or double counting.
+   the light residual and its heavy part without loss or double counting.
    Both directions run only at provably-fresh points (no pending capture
    work, every part caught up to the captured delta), where "move" is
    exact: promotion materializes the key's partial from the base relation
    and then deletes the key's rows from the light mirror; demotion folds
-   the retiring partial's mirror into the light mirror. Durability is
+   the retiring part's mirror into the light mirror. Durability is
    asymmetric by design — the only durable truth is the WAL (the heavy
-   controllers' frontier markers plus this registry's promote/retire
+   controllers' frontier markers plus this policy's promote/retire
    markers); every mirror is derived state rebuilt from recovered contents
    on restart, which is what makes a crash in the middle of a migration
    harmless: recovery re-derives the heavy set from the log and rebuilds
@@ -32,65 +31,31 @@ module Table = Roll_storage.Table
 module Wal = Roll_storage.Wal
 module Capture = Roll_capture.Capture
 
-let log_src = Logs.Src.create "roll.hotset" ~doc:"heavy-light partition registry"
+let log_src = Logs.Src.create "roll.hotset" ~doc:"heavy-light partitioning"
 
 module Log = (val Logs.src_log log_src)
 
-(* ------------------------------------------------------------------ *)
-(* Derivation: which relation to partition, on which column            *)
-
-type deriv = {
-  source : int;  (** owner source position the partition substitutes *)
-  base : string;
-  col : int;  (** base column carrying the partition key *)
-  local : Predicate.t;  (** single-source atoms, rebased to source 0 *)
-  select : (string * Predicate.operand) list;
-  cols : int array;  (** mirror column [k] holds base column [cols.(k)] *)
+type t = {
+  reg : Partial.registry;
+  max_heavy : int;
+  capacity : int;
+  enter : float option;
+  exit_ : float option;
+  mutable fault : Roll_util.Fault.t;
 }
 
-let rebase_col (c : Predicate.col) = { c with Predicate.source = 0 }
+let create ?(capacity = 64) ?(max_heavy = 16) ?enter ?exit_ reg =
+  if max_heavy <= 0 then invalid_arg "Hotset.create: max_heavy";
+  (* Validate the sketch parameters once, eagerly. *)
+  ignore (Partition.create ~capacity ?enter ?exit_ ());
+  { reg; max_heavy; capacity; enter; exit_; fault = Roll_util.Fault.none }
 
-let rec rebase_operand = function
-  | Predicate.Col c -> Predicate.Col (rebase_col c)
-  | Predicate.Const _ as o -> o
-  | Predicate.Neg e -> Predicate.Neg (rebase_operand e)
-  | Predicate.Add (a, b) -> Predicate.Add (rebase_operand a, rebase_operand b)
-  | Predicate.Sub (a, b) -> Predicate.Sub (rebase_operand a, rebase_operand b)
-  | Predicate.Mul (a, b) -> Predicate.Mul (rebase_operand a, rebase_operand b)
-  | Predicate.Div (a, b) -> Predicate.Div (rebase_operand a, rebase_operand b)
+let set_fault t fault = t.fault <- fault
 
-let operand_cols_of_source j operand =
-  Predicate.fold_operands
-    (fun acc op ->
-      match op with
-      | Predicate.Col c when c.Predicate.source = j -> c.Predicate.column :: acc
-      | _ -> acc)
-    [] operand
+let registry t = t.reg
 
-(* Columns of source [j] the rest of the query can see (same rule as the
-   auxiliary registry's): join columns, cross-source comparison inputs and
-   projection inputs. *)
-let needed_cols view j =
-  let acc = ref [] in
-  let note c = if not (List.mem c !acc) then acc := c :: !acc in
-  List.iter
-    (fun atom ->
-      match Predicate.sources_of_atom atom with
-      | [ k ] when k = j -> ()
-      | srcs when List.mem j srcs ->
-          (match atom with
-          | Predicate.Join (a, b) ->
-              if a.Predicate.source = j then note a.Predicate.column;
-              if b.Predicate.source = j then note b.Predicate.column
-          | Predicate.Cmp (_, x, y) ->
-              List.iter note (operand_cols_of_source j x);
-              List.iter note (operand_cols_of_source j y))
-      | _ -> ())
-    (View.predicate view);
-  List.iter
-    (fun (_, operand) -> List.iter note (operand_cols_of_source j operand))
-    (View.projection view);
-  List.sort_uniq Int.compare !acc
+(* ------------------------------------------------------------------ *)
+(* Derivation: which relation to partition, on which column            *)
 
 (* The partitioned relation: the source appearing in the most equi-join
    atoms — the fact table of a star join — with ties broken toward the
@@ -126,153 +91,52 @@ let partition_target view =
     | j -> Some (j, List.fold_left min max_int join_cols.(j))
   end
 
-let derive view =
-  match partition_target view with
-  | None -> None
-  | Some (j, col) ->
-      let schema = View.source_schema view j in
-      let needed = needed_cols view j in
-      if needed = [] then None
-      else
-        let local =
-          List.filter
-            (fun atom -> Predicate.sources_of_atom atom = [ j ])
-            (View.predicate view)
-          |> List.map (function
-               | Predicate.Join (a, b) ->
-                   Predicate.Join (rebase_col a, rebase_col b)
-               | Predicate.Cmp (op, x, y) ->
-                   Predicate.Cmp (op, rebase_operand x, rebase_operand y))
-        in
-        let select =
-          List.map
-            (fun c ->
-              ( (Schema.column schema c).Schema.name,
-                Predicate.Col { Predicate.source = 0; column = c } ))
-            needed
-        in
-        Some
-          {
-            source = j;
-            base = View.source_table view j;
-            col;
-            local;
-            select;
-            cols = Array.of_list needed;
-          }
-
 (* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-
-type entry = {
-  key : int;
-  hbase : string;
-  view : View.t;
-  controller : Controller.t;
-  mirror : Table.t;
-  mutable mirror_as_of : Time.t;
-}
-
-type group = {
-  gkey : string;  (** canonical identity: partial signature + key column *)
-  prefix : string;  (** name prefix for heavy views and the light mirror *)
-  source : int;
-  base : string;
-  col : int;
-  colpos : int;  (** position of [col] inside [cols] *)
-  local : Predicate.t;
-  select : (string * Predicate.operand) list;
-  cols : int array;
-  sketch : Partition.t;
-  light : Table.t;
-  mutable light_as_of : Time.t;
-      (** the light mirror and the sketch have consumed the base's capture
-          delta up to here *)
-  mutable heavy : entry list;
-  mutable probe_cols : int list;  (** mirror columns indexed for probing *)
-  mutable owners : string list;
-  mutable durable : bool;
-  mutable obs : Roll_obs.Obs.t option;
-}
-
-type t = {
-  db : Database.t;
-  capture : Capture.t;
-  interval : int;
-  max_heavy : int;
-  capacity : int;
-  enter : float option;
-  exit_ : float option;
-  mutable fault : Roll_util.Fault.t;
-  mutable groups : group list;
-}
-
-let create ?(interval = 8) ?(capacity = 64) ?(max_heavy = 16) ?enter ?exit_
-    db capture =
-  if interval <= 0 then invalid_arg "Hotset.create: interval";
-  if max_heavy <= 0 then invalid_arg "Hotset.create: max_heavy";
-  (* Validate the sketch parameters once, eagerly. *)
-  ignore (Partition.create ~capacity ?enter ?exit_ ());
-  {
-    db;
-    capture;
-    interval;
-    max_heavy;
-    capacity;
-    enter;
-    exit_;
-    fault = Roll_util.Fault.none;
-    groups = [];
-  }
-
-let set_fault t fault = t.fault <- fault
-
-let entries t = List.concat_map (fun g -> g.heavy) t.groups
-
-let name (e : entry) = View.name e.view
-
-let key (e : entry) = e.key
-
-let base (e : entry) = e.hbase
-
-let controller (e : entry) = e.controller
-
-let mirror (e : entry) = e.mirror
-
-let mirror_as_of (e : entry) = e.mirror_as_of
+(* Census                                                              *)
 
 let groups_of t ~owner =
-  List.filter (fun g -> List.mem owner g.owners) t.groups
-
-let for_owner t ~owner = List.concat_map (fun g -> g.heavy) (groups_of t ~owner)
-
-let find t name_ =
-  List.find_opt (fun e -> String.equal (name e) name_) (entries t)
+  List.filter_map
+    (fun (p : Partial.t) ->
+      match p.Partial.policy with
+      | Partial.Partitioning pt when List.mem owner p.Partial.owners ->
+          Some (p, pt)
+      | Partial.Partitioning _ | Partial.Narrowing -> None)
+    t.reg.Partial.partials
 
 let heavy_count t ~owner =
-  List.fold_left (fun acc g -> acc + List.length g.heavy) 0 (groups_of t ~owner)
+  List.fold_left
+    (fun acc (p, _) -> acc + List.length (Partial.maintained p))
+    0 (groups_of t ~owner)
 
 let sketch_keys t =
-  List.fold_left (fun acc g -> acc + Partition.occupancy g.sketch) 0 t.groups
+  List.fold_left
+    (fun acc (p : Partial.t) ->
+      match p.Partial.policy with
+      | Partial.Partitioning pt -> acc + Partition.occupancy pt.Partial.sketch
+      | Partial.Narrowing -> acc)
+    0 t.reg.Partial.partials
 
 let light_rows t ~owner =
   List.fold_left
-    (fun acc g -> acc + Table.cardinality g.light)
+    (fun acc (_, pt) -> acc + Table.cardinality pt.Partial.light.Partial.mirror)
     0 (groups_of t ~owner)
 
 let partitioned t ~owner =
-  List.map (fun g -> (g.base, g.col)) (groups_of t ~owner)
-
-let lag t (e : entry) = Time.max 0 (Database.now t.db - e.mirror_as_of)
+  List.map
+    (fun ((p : Partial.t), pt) ->
+      (p.Partial.shape.Partial.base, pt.Partial.col))
+    (groups_of t ~owner)
 
 (* Distinct owners over the same (base, col) can still derive distinct
    partial shapes (different retained columns or local filters), so names
    carry the partial-signature hash too — sibling groups must not share
    heavy view names, or their durable WAL markers would conflate. *)
-let group_prefix ~base ~col ~gkey =
-  Printf.sprintf "hot_%s_c%d_%08x" base col (Hashtbl.hash gkey land 0xFFFFFFFF)
+let group_prefix base col signature =
+  Printf.sprintf "hot_%s_c%d_%08x" base col
+    (Hashtbl.hash signature land 0xFFFFFFFF)
 
-let hot_name prefix key = Printf.sprintf "%s_k%d" prefix key
+let prefix_of (p : Partial.t) pt =
+  group_prefix p.Partial.shape.Partial.base pt.Partial.col p.Partial.signature
 
 let promote_tag vname base col key =
   Printf.sprintf "!hotset promote %s %s %d %d" vname base col key
@@ -280,132 +144,68 @@ let promote_tag vname base col key =
 let retire_tag vname = Printf.sprintf "!hotset retire %s" vname
 
 (* ------------------------------------------------------------------ *)
-(* Mirror plumbing                                                     *)
-
-(* Fold the partial's applied-but-unmirrored view-delta suffix into its
-   probe mirror; same rollback-safety argument as [Auxiliary.sync]: the
-   high-water mark only advances on success, so rows a retry truncates are
-   never consumed. *)
-let sync (e : entry) =
-  let target = Controller.hwm e.controller in
-  if target > e.mirror_as_of then begin
-    Delta.window_iter
-      (Controller.ctx e.controller).Ctx.out
-      ~lo:e.mirror_as_of ~hi:target
-      (fun (row : Delta.row) -> Table.apply_change e.mirror row.tuple row.count);
-    e.mirror_as_of <- target
-  end
-
-let gc (e : entry) =
-  sync e;
-  Controller.gc e.controller
-
-let rebuild_mirror (e : entry) =
-  Relation.iter
-    (fun tuple count -> Table.apply_change e.mirror tuple count)
-    (Controller.contents e.controller);
-  e.mirror_as_of <- Controller.as_of e.controller;
-  sync e
-
-let index_part g table =
-  List.iter (fun c -> Table.create_index table ~columns:[ c ]) g.probe_cols
-
-let project_row g tuple = Array.map (fun c -> tuple.(c)) g.cols
-
-let key_of g tuple =
-  match tuple.(g.col) with Value.Int k -> Some k | _ -> None
-
-let passes_local g tuple = Predicate.holds g.local [| tuple |]
-
-(* ------------------------------------------------------------------ *)
 (* The pump: capture delta -> sketch + light residual                  *)
 
-(* Fold the base's captured delta suffix into the sketch (every key, so
-   classification sees the whole stream) and the light mirror (light keys
-   only; heavy keys' rows flow through their controllers). Classification
-   changes only at [rebalance] boundaries, so within one pumped window the
-   class of every key is fixed and no row is routed twice. *)
-let pump_group t g =
-  let target = Capture.hwm t.capture in
-  if target > g.light_as_of then begin
+(* Route one base row (or delta row) of [count]: the sketch sees every key,
+   so classification sees the whole stream; the light residual gets the
+   row, projected, when its key is not heavy and it passes the local
+   filter. *)
+let route (s : Partial.shape) ~col sketch light ~heavy tuple count =
+  let light_key =
+    match tuple.(col) with
+    | Value.Int k ->
+        Partition.observe sketch k ~count:(abs count);
+        not (heavy k)
+    | _ -> true
+  in
+  if light_key && Predicate.holds s.Partial.local [| tuple |] then
+    Table.apply_change light.Partial.mirror
+      (Array.map (fun c -> tuple.(c)) s.Partial.cols)
+      count
+
+(* Fold the base's captured delta suffix into the sketch and the light
+   mirror (light keys only; heavy keys' rows flow through their
+   controllers). Classification changes only at [rebalance] boundaries, so
+   within one pumped window the class of every key is fixed and no row is
+   routed twice. *)
+let pump_light capture (s : Partial.shape) ~col sketch (light : Partial.part)
+    () =
+  let target = Capture.hwm capture in
+  if target > light.Partial.mirror_as_of then begin
+    let heavy = Partition.is_heavy sketch in
     Delta.window_iter
-      (Capture.delta t.capture ~table:g.base)
-      ~lo:g.light_as_of ~hi:target
+      (Capture.delta capture ~table:s.Partial.base)
+      ~lo:light.Partial.mirror_as_of ~hi:target
       (fun (row : Delta.row) ->
-        let k = key_of g row.tuple in
-        (match k with
-        | Some k ->
-            Partition.observe g.sketch k ~count:(abs row.count)
-        | None -> ());
-        let heavy =
-          match k with
-          | Some k -> Partition.is_heavy g.sketch k
-          | None -> false
-        in
-        if (not heavy) && passes_local g row.tuple then
-          Table.apply_change g.light (project_row g row.tuple) row.count);
-    g.light_as_of <- target
+        route s ~col sketch light ~heavy row.tuple row.count);
+    light.Partial.mirror_as_of <- target
   end
 
-let pump t = List.iter (pump_group t) t.groups
-
-(* Every part of the union provably equals its slice of the partial
-   applied to the base table's current committed state: no captured change
-   past any part's as-of, and nothing logged-but-uncaptured either. *)
-let fresh_group t g =
-  let min_as_of =
-    List.fold_left
-      (fun acc (e : entry) -> Time.min acc e.mirror_as_of)
-      g.light_as_of g.heavy
-  in
-  (match Delta.max_ts (Capture.delta t.capture ~table:g.base) with
-  | Some ts -> ts <= min_as_of
-  | None -> true)
-  && not (Capture.pending_changes t.capture ~table:g.base)
-
-let fresh_for t ~owner =
-  match groups_of t ~owner with
-  | [] -> false
-  | gs -> List.for_all (fresh_group t) gs
+let pump t =
+  List.iter
+    (fun (p : Partial.t) ->
+      match p.Partial.policy with
+      | Partial.Partitioning pt -> pt.Partial.pump ()
+      | Partial.Narrowing -> ())
+    t.reg.Partial.partials
 
 (* ------------------------------------------------------------------ *)
 (* Migration                                                           *)
 
-let algorithm t = Controller.Rolling (Rolling.uniform t.interval)
-
-let obs_arg g = g.obs
-
-let heavy_view t g k =
-  let vname = hot_name g.prefix k in
-  let predicate =
-    g.local
-    @ [
-        Predicate.Cmp
-          ( Predicate.Eq,
-            Predicate.Col { Predicate.source = 0; column = g.col },
-            Predicate.Const (Value.Int k) );
-      ]
-  in
-  View.create_select t.db ~name:vname
-    ~sources:[ (g.base, g.base) ]
-    ~predicate ~select:g.select
-
-let make_entry g ~key ~view ~controller =
-  let mirror = Table.create ~name:(View.name view) (View.output_schema view) in
-  let e =
-    {
-      key;
-      hbase = g.base;
-      view;
-      controller;
-      mirror;
-      mirror_as_of = Controller.as_of controller;
-    }
-  in
-  index_part g mirror;
-  rebuild_mirror e;
-  g.heavy <- g.heavy @ [ e ];
-  e
+let heavy_view t (p : Partial.t) pt k =
+  let s = p.Partial.shape in
+  View.create_select t.reg.Partial.db
+    ~name:(Printf.sprintf "%s_k%d" (prefix_of p pt) k)
+    ~sources:[ (s.Partial.base, s.Partial.base) ]
+    ~predicate:
+      (s.Partial.local
+      @ [
+          Predicate.Cmp
+            ( Predicate.Eq,
+              Predicate.Col { Predicate.source = 0; column = pt.Partial.col },
+              Predicate.Const (Value.Int k) );
+        ])
+    ~select:s.Partial.select
 
 (* Promotion handoff. Preconditions (checked by [rebalance_group]): the
    light mirror equals its partial at the base's current committed state.
@@ -416,73 +216,81 @@ let make_entry g ~key ~view ~controller =
    leaves the key light everywhere, a crash after it (the [hotset.promote]
    fault point) recovers the key heavy with the light residual rebuilt
    minus the key — consistent either way, because mirrors are derived. *)
-let promote t g k =
-  let view = heavy_view t g k in
-  let controller =
-    Controller.create ~durable:g.durable ?obs:(obs_arg g) t.db t.capture view
-      ~algorithm:(algorithm t)
-  in
+let promote t (p : Partial.t) pt k =
+  let view = heavy_view t p pt k in
+  let controller = Partial.new_controller t.reg p ~recover:false view in
   ignore
-    (Database.commit_marker t.db ~tag:(promote_tag (View.name view) g.base g.col k));
+    (Database.commit_marker t.reg.Partial.db
+       ~tag:
+         (promote_tag (View.name view) p.Partial.shape.Partial.base
+            pt.Partial.col k));
   Roll_util.Fault.hit t.fault "hotset.promote";
-  let e = make_entry g ~key:k ~view ~controller in
+  let part = Partial.add_part ~key:k p controller in
   (* Delete the key's rows from the light residual: they now live in (and
-     are maintained through) the heavy partial. *)
+     are maintained through) the heavy part. *)
+  let light = pt.Partial.light.Partial.mirror in
   let doomed = ref [] in
   Relation.iter
     (fun tuple count ->
-      if Value.equal tuple.(g.colpos) (Value.Int k) then
+      if Value.equal tuple.(pt.Partial.colpos) (Value.Int k) then
         doomed := (tuple, count) :: !doomed)
-    (Table.contents g.light);
+    (Table.contents light);
   List.iter
-    (fun (tuple, count) -> Table.apply_change g.light tuple (-count))
+    (fun (tuple, count) -> Table.apply_change light tuple (-count))
     !doomed;
   Log.info (fun m ->
-      m "promoted key %d of %s.%d -> %s (%d rows moved)" k g.base g.col
-        (View.name view) (List.length !doomed));
-  e
+      m "promoted key %d of %s.%d -> %s (%d rows moved)" k
+        p.Partial.shape.Partial.base pt.Partial.col (View.name view)
+        (List.length !doomed));
+  part
 
-(* Demotion handoff: fold the retiring partial's (fresh) mirror into the
+(* Demotion handoff: fold the retiring part's (fresh) mirror into the
    light residual, then commit the durable retire marker. A crash between
    the two (the [hotset.demote] fault point) recovers the key still heavy
    — the fold is in-memory state that dies with the process — so no row is
    ever counted twice. *)
-let demote t g (e : entry) =
+let demote t (p : Partial.t) pt (part : Partial.part) =
   Relation.iter
-    (fun tuple count -> Table.apply_change g.light tuple count)
-    (Table.contents e.mirror);
+    (fun tuple count ->
+      Table.apply_change pt.Partial.light.Partial.mirror tuple count)
+    (Table.contents part.Partial.mirror);
   Roll_util.Fault.hit t.fault "hotset.demote";
-  ignore (Database.commit_marker t.db ~tag:(retire_tag (name e)));
-  g.heavy <- List.filter (fun (x : entry) -> x != e) g.heavy;
+  ignore
+    (Database.commit_marker t.reg.Partial.db
+       ~tag:(retire_tag (Partial.name part)));
+  Partial.remove_part p part;
   Log.info (fun m ->
-      m "demoted key %d of %s.%d (retired %s)" e.key g.base g.col (name e));
-  e
+      m "demoted key %d of %s.%d (retired %s)"
+        (Option.get part.Partial.key)
+        p.Partial.shape.Partial.base pt.Partial.col (Partial.name part));
+  part
 
-let rebalance_group t g =
-  pump_group t g;
-  List.iter sync g.heavy;
+let rebalance_group t (p : Partial.t) pt =
+  pt.Partial.pump ();
+  List.iter Partial.sync p.Partial.parts;
   (* Migration is exact only at a provably-fresh point: every part equals
      its slice of the current committed state, so rows move between
      classes by construction rather than by compensation. A lagging part
      defers the whole group's migration to a later drain. *)
-  if not (fresh_group t g) then ([], [])
+  if not (Partial.fresh t.reg p) then ([], [])
   else begin
     let promoted_keys, demoted_keys =
-      Partition.rebalance ~max_heavy:t.max_heavy g.sketch
+      Partition.rebalance ~max_heavy:t.max_heavy pt.Partial.sketch
+    in
+    let heavy k =
+      List.find_opt
+        (fun (part : Partial.part) -> part.Partial.key = Some k)
+        p.Partial.parts
     in
     let promoted =
       List.filter_map
         (fun k ->
-          if List.exists (fun (e : entry) -> e.key = k) g.heavy then None
-          else Some (promote t g k))
+          if Option.is_some (heavy k) then None else Some (promote t p pt k))
         promoted_keys
     in
     let demoted =
       List.filter_map
-        (fun k ->
-          match List.find_opt (fun (e : entry) -> e.key = k) g.heavy with
-          | Some e -> Some (demote t g e)
-          | None -> None)
+        (fun k -> Option.map (demote t p pt) (heavy k))
         demoted_keys
     in
     (promoted, demoted)
@@ -490,22 +298,16 @@ let rebalance_group t g =
 
 let rebalance t =
   List.fold_left
-    (fun (pro, dem) g ->
-      let p, d = rebalance_group t g in
-      (pro @ p, dem @ d))
-    ([], []) t.groups
+    (fun (pro, dem) (p : Partial.t) ->
+      match p.Partial.policy with
+      | Partial.Partitioning pt ->
+          let pr, de = rebalance_group t p pt in
+          (pro @ pr, dem @ de)
+      | Partial.Narrowing -> (pro, dem))
+    ([], []) t.reg.Partial.partials
 
 (* ------------------------------------------------------------------ *)
 (* Attach / recovery                                                   *)
-
-let signature_of_partial t (d : deriv) =
-  let probe =
-    View.create_select t.db ~name:"hot" ~sources:[ (d.base, d.base) ]
-      ~predicate:d.local ~select:d.select
-  in
-  Printf.sprintf "%s#c%d"
-    (Pquery.signature probe ~rule:`Min (Pquery.all_base 1))
-    d.col
 
 (* The durable heavy set: the last promote/retire event per partial name
    in the WAL wins. WAL-prefix reclaim cannot split a pair — a retire
@@ -529,197 +331,84 @@ let recovered_keys db ~prefix =
           | _ -> ()));
   List.sort Int.compare (Hashtbl.fold (fun _ k acc -> k :: acc) alive [])
 
-(* Seed the sketch and the light residual from the base relation's current
-   contents: the sketch sees every key's standing mass (so pre-existing
-   skew is classified without waiting for churn), the light mirror gets
-   every row whose key is not (recovered-)heavy. [light_as_of] starts at
-   the current clock — table contents already reflect every committed
-   change, captured or not, so the pump must only consume strictly-later
-   windows. *)
-let seed_group t g ~heavy_keys =
-  let table = Database.table t.db g.base in
-  Relation.iter
-    (fun tuple count ->
-      (match key_of g tuple with
-      | Some k -> Partition.observe g.sketch k ~count:(abs count)
-      | None -> ());
-      let heavy =
-        match key_of g tuple with
-        | Some k -> List.mem k heavy_keys
-        | None -> false
-      in
-      if (not heavy) && passes_local g tuple then
-        Table.apply_change g.light (project_row g tuple) count)
-    (Table.contents table);
-  g.light_as_of <- Database.now t.db
-
-let make_group t ~durable ?obs ~recover (d : deriv) =
-  let gkey = signature_of_partial t d in
-  match List.find_opt (fun g -> String.equal g.gkey gkey) t.groups with
-  | Some g -> (g, [])
+(* A new partition group: the light residual and the sketch are seeded
+   from the base relation's current contents — the sketch sees every key's
+   standing mass (so pre-existing skew is classified without waiting for
+   churn), the light mirror gets every row whose key is not
+   (recovered-)heavy. The light residual's time starts at the current
+   clock — table contents already reflect every committed change, captured
+   or not, so the pump must only consume strictly-later windows. *)
+let make_group t ~durable ?obs ~recover (s : Partial.shape) col =
+  let db = t.reg.Partial.db in
+  let signature = Printf.sprintf "%s#c%d" (Partial.signature t.reg s) col in
+  match Partial.find_partial t.reg signature with
+  | Some p -> p
   | None ->
       let colpos =
         let rec find k =
-          if k >= Array.length d.cols then
+          if k >= Array.length s.Partial.cols then
             invalid_arg "Hotset: partition column not retained"
-          else if d.cols.(k) = d.col then k
+          else if s.Partial.cols.(k) = col then k
           else find (k + 1)
         in
         find 0
       in
-      let prefix = group_prefix ~base:d.base ~col:d.col ~gkey in
-      let light_schema =
-        View.output_schema
-          (View.create_select t.db ~name:(prefix ^ "_light")
-             ~sources:[ (d.base, d.base) ]
-             ~predicate:d.local ~select:d.select)
+      let sketch =
+        Partition.create ~capacity:t.capacity ?enter:t.enter ?exit_:t.exit_ ()
       in
-      let g =
+      let prefix = group_prefix s.Partial.base col signature in
+      let light =
         {
-          gkey;
-          prefix;
-          source = d.source;
-          base = d.base;
-          col = d.col;
-          colpos;
-          local = d.local;
-          select = d.select;
-          cols = d.cols;
-          sketch =
-            Partition.create ~capacity:t.capacity ?enter:t.enter
-              ?exit_:t.exit_ ();
-          light = Table.create ~name:(prefix ^ "_light") light_schema;
-          light_as_of = Time.origin;
-          heavy = [];
-          probe_cols = [];
-          owners = [];
-          durable;
-          obs;
+          Partial.mirror =
+            Table.create ~name:(prefix ^ "_light")
+              (Partial.output_schema t.reg s);
+          mirror_as_of = Time.origin;
+          controller = None;
+          key = None;
         }
       in
-      let heavy_keys =
-        if recover then recovered_keys t.db ~prefix else []
+      let pt =
+        {
+          Partial.col;
+          colpos;
+          sketch;
+          light;
+          pump = pump_light t.reg.Partial.capture s ~col sketch light;
+        }
       in
-      seed_group t g ~heavy_keys;
-      let recovered =
-        List.map
-          (fun k ->
-            Partition.force_heavy g.sketch k;
-            let view = heavy_view t g k in
-            let controller =
-              match
-                Controller.recover ?obs t.db t.capture view
-                  ~algorithm:(algorithm t)
-              with
-              | ctl -> ctl
-              | exception Invalid_argument _ ->
-                  (* Promoted, durably, but crashed before its first
-                     frontier marker: start it cold from the base table. *)
-                  Controller.create ~durable ?obs t.db t.capture view
-                    ~algorithm:(algorithm t)
-            in
-            make_entry g ~key:k ~view ~controller)
-          heavy_keys
+      let p =
+        Partial.register t.reg ~signature ~policy:(Partial.Partitioning pt)
+          ~durable ?obs ~parts:[ light ] s
       in
-      t.groups <- t.groups @ [ g ];
+      let heavy_keys = if recover then recovered_keys db ~prefix else [] in
+      Relation.iter
+        (route s ~col sketch light ~heavy:(fun k -> List.mem k heavy_keys))
+        (Table.contents (Database.table db s.Partial.base));
+      light.Partial.mirror_as_of <- Database.now db;
+      List.iter
+        (fun k ->
+          Partition.force_heavy sketch k;
+          (* Promoted, durably, maybe crashed before its first frontier
+             marker: [new_controller] then starts it cold. *)
+          ignore
+            (Partial.add_part ~key:k p
+               (Partial.new_controller t.reg p ~recover:true
+                  (heavy_view t p pt k))))
+        heavy_keys;
       Log.info (fun m ->
-          m "partitioning %s on column %d (%d heavy key%s recovered)" d.base
-            d.col (List.length recovered)
-            (if List.length recovered = 1 then "" else "s"));
-      (g, recovered)
-
-(* Secondary indexes on the mirror columns the owner's equi-joins probe —
-   light and heavy alike, so the planner can turn the union read into
-   per-part index probes. *)
-let note_probe_cols g owner_view =
-  List.iter
-    (fun atom ->
-      match atom with
-      | Predicate.Join (a, b) ->
-          List.iter
-            (fun (c : Predicate.col) ->
-              if c.Predicate.source = g.source then
-                Array.iteri
-                  (fun k base_col ->
-                    if base_col = c.Predicate.column
-                       && not (List.mem k g.probe_cols)
-                    then g.probe_cols <- g.probe_cols @ [ k ])
-                  g.cols)
-            [ a; b ]
-      | Predicate.Cmp _ -> ())
-    (View.predicate owner_view);
-  index_part g g.light;
-  List.iter (fun (e : entry) -> index_part g e.mirror) g.heavy
-
-let install_closure t owner_ctx assoc =
-  let stats = owner_ctx.Ctx.stats in
-  owner_ctx.Ctx.hot <-
-    Some
-      (fun ~peek j ->
-        match List.assoc_opt j assoc with
-        | None -> None
-        | Some g ->
-            if g.heavy = [] then
-              (* No heavy keys: the light residual is a verbatim copy of
-                 the partial, all cost and no narrowing — leave the plan
-                 on the base table (and the counters untouched). *)
-              None
-            else begin
-              let source () =
-                {
-                  Ctx.parts =
-                    g.light :: List.map (fun (e : entry) -> e.mirror) g.heavy;
-                  cols = g.cols;
-                }
-              in
-              if peek then Some (source ())
-              else begin
-                (* Keep the cheap parts honest before testing freshness:
-                   pump the light residual forward and fold any applied
-                   heavy deltas. Mutating mirrors is single-writer work,
-                   so frozen-clock (wave worker) executions skip it — the
-                   drain pumped before dispatching the wave. *)
-                if owner_ctx.Ctx.frozen_exec = None then begin
-                  pump_group t g;
-                  List.iter sync g.heavy
-                end;
-                if fresh_group t g then begin
-                  Stats.incr_hot_hits stats;
-                  Some (source ())
-                end
-                else begin
-                  Stats.incr_hot_misses stats;
-                  None
-                end
-              end
-            end)
+          m "partitioning %s on column %d (%d heavy key%s recovered)"
+            s.Partial.base col (List.length heavy_keys)
+            (if List.length heavy_keys = 1 then "" else "s"));
+      p
 
 let attach ?(durable = false) ?(recover = false) ?obs t owner_controller =
-  let owner_view = Controller.view owner_controller in
-  let owner = View.name owner_view in
-  match derive owner_view with
+  let view = Controller.view owner_controller in
+  match partition_target view with
   | None -> []
-  | Some d ->
-      let g, recovered = make_group t ~durable ?obs ~recover d in
-      if not (List.mem owner g.owners) then g.owners <- g.owners @ [ owner ];
-      g.durable <- g.durable || durable;
-      (match (g.obs, obs) with None, Some o -> g.obs <- Some o | _ -> ());
-      note_probe_cols g owner_view;
-      install_closure t (Controller.ctx owner_controller) [ (d.source, g) ];
-      if recovered = [] then g.heavy else recovered
-
-let release t ~owner =
-  List.iter
-    (fun g ->
-      g.owners <- List.filter (fun o -> not (String.equal o owner)) g.owners)
-    t.groups;
-  let orphans, live = List.partition (fun g -> g.owners = []) t.groups in
-  t.groups <- live;
-  let retired = List.concat_map (fun g -> g.heavy) orphans in
-  if retired <> [] then
-    Log.info (fun m ->
-        m "released %d heavy partial%s with their last owner: %s"
-          (List.length retired)
-          (if List.length retired = 1 then "" else "s")
-          (String.concat ", " (List.map name retired)));
-  retired
+  | Some (j, col) -> (
+      match Partial.shape view j with
+      | None -> []
+      | Some s ->
+          let p = make_group t ~durable ?obs ~recover s col in
+          Partial.bind t.reg ~durable ?obs owner_controller [ (j, p) ];
+          Partial.maintained p)

@@ -1,61 +1,53 @@
-(** Skew-aware heavy-light partitioning of a view's most-joined relation
-    (ROADMAP item 4, DESIGN.md §19).
+(** The partitioning policy for derived partials: skew-aware heavy-light
+    partitioning of a view's most-joined relation (DESIGN.md §18).
 
-    The auxiliary registry (§18) declines to materialize a partial that
+    Narrowing ({!Partial.attach}) declines to materialize a partial that
     would be a verbatim full-width copy of its base table — which is
     exactly the shape a star schema's fact table takes, and exactly where
     compensation is most expensive: every dimension-window query rebuilds
-    a hash table over the whole fact relation. This registry attacks that
+    a hash table over the whole fact relation. This policy attacks that
     case by {e partitioning} the relation by join-key frequency instead of
     narrowing it:
 
     - a bounded {!Partition} sketch tracks per-key frequencies online from
       the capture stream and classifies keys heavy/light with hysteresis;
-    - each {b heavy} key gets an eagerly-maintained per-key partial
-      [σ_{key=k}(π_needed(σ_local(R)))], materialized through an ordinary
-      durable {!Controller} — capture → propagate → apply → WAL frontier
-      markers, so crash recovery is the same machinery as a user view's —
-      and probed through an indexed in-memory mirror;
-    - {b light} keys stay on the lazy path: one residual in-memory mirror,
-      folded forward directly from the capture delta in O(change), holds
-      every row whose key is not heavy.
+    - each {b heavy} key gets an eagerly-maintained part
+      [σ_{key=k}(π_needed(σ_local(R)))] with a durable {!Controller};
+    - {b light} keys stay on the lazy path: one residual mirror, folded
+      forward directly from the capture delta in O(change), holds every
+      row whose key is not heavy.
 
-    Light ⊎ heavy mirrors is the whole partial by construction, so the
-    executor can read the union (η-prefixed in plans) in place of the base
-    relation whenever every part is provably fresh — with transparent
-    fallback to the base table otherwise ({!Stats} hot hits/misses).
+    Light ⊎ heavy parts is the whole partial by construction, so the
+    executor reads their η-union in place of the base relation whenever
+    every part is provably fresh ({!Partial.fresh}); a partition with no
+    heavy key is never substituted.
 
     Migration between classes is an atomic delta-compensated handoff,
     performed only at provably-fresh points: a promotion materializes the
-    key's partial durably, then deletes the key's rows from the light
-    mirror; a demotion folds the retiring mirror back into the light
-    residual, then commits a durable retire marker. The durable promote /
-    retire markers ride the WAL, so a restarted registry re-derives the
-    heavy set from the log alone; the mirrors are derived state rebuilt
-    from recovered contents, exactly like auxiliary mirrors. The fault
-    points [hotset.promote] and [hotset.demote] sit inside the two
-    handoff windows for crash-fuzz coverage. *)
-
-type entry
-(** One heavy key's eagerly-maintained partial. *)
+    key's part durably, then deletes the key's rows from the light
+    residual; a demotion folds the retiring part back into the light
+    residual, then commits a durable retire marker. The promote / retire
+    markers ride the WAL, so a restarted registry re-derives the heavy set
+    from the log alone. The fault points [hotset.promote] and
+    [hotset.demote] sit inside the two handoff windows for crash-fuzz
+    coverage. *)
 
 type t
 
 val create :
-  ?interval:int ->
   ?capacity:int ->
   ?max_heavy:int ->
   ?enter:float ->
   ?exit_:float ->
-  Roll_storage.Database.t ->
-  Roll_capture.Capture.t ->
+  Partial.registry ->
   t
-(** A registry maintaining heavy-key partials against this database and
-    capture process. [interval] (default 8) is each partial's rolling
-    interval; [capacity] (default 64), [enter] and [exit_] parameterize
-    the {!Partition} sketch; [max_heavy] (default 16) caps concurrently
-    heavy keys per relation. @raise Invalid_argument on non-positive
-    [interval] or [max_heavy], or thresholds {!Partition.create} rejects. *)
+(** Partition partials kept in this registry. [capacity] (default 64),
+    [enter] and [exit_] parameterize the {!Partition} sketch; [max_heavy]
+    (default 16) caps concurrently heavy keys per relation.
+    @raise Invalid_argument on non-positive [max_heavy], or thresholds
+    {!Partition.create} rejects. *)
+
+val registry : t -> Partial.registry
 
 val set_fault : t -> Roll_util.Fault.t -> unit
 (** Install a fault-injection handle on the migration fault points
@@ -67,72 +59,31 @@ val attach :
   ?obs:Roll_obs.Obs.t ->
   t ->
   Controller.t ->
-  entry list
+  Partial.part list
 (** Derive the partition group for a view — its most-joined source
     relation, partitioned on that source's first join column — seed the
-    sketch and the light mirror from the relation's current contents, and
-    install the substitution closure ({!Ctx.hot}) on the owner's context.
-    Views with fewer than two sources, or whose candidate source feeds
-    neither a join nor the output, derive nothing. Groups are shared
-    across sibling views on the same (relation, column, partial shape).
-    With [recover], the heavy set is re-derived from the WAL's promote /
-    retire markers and each heavy partial's controller is restored from
-    its durable state ({!Controller.recover}, falling back to a cold
-    start when markers are missing). Returns the heavy entries now owned
-    by this view — register their controllers for maintenance. *)
-
-val release : t -> owner:string -> entry list
-(** Drop [owner] from every group and retire groups left with no owners.
-    Returns the orphaned heavy entries so the caller can retire their
+    sketch and the light residual from the relation's current contents,
+    and {!Partial.bind} it to the owner. Views with fewer than two
+    sources, or whose candidate source feeds neither a join nor the
+    output, derive nothing. Groups are shared across sibling views on the
+    same (relation, column, partial shape). With [recover], the heavy set
+    is re-derived from the WAL's promote / retire markers and each heavy
+    part's controller is restored from its durable state. Returns the
+    heavy parts now owned by this view — register their controllers for
     maintenance. *)
 
 val pump : t -> unit
 (** Fold capture-delta suffixes into every group's sketch and light
-    mirror (heavy keys' rows are skipped — their controllers maintain
+    residual (heavy keys' rows are skipped — their controllers maintain
     them). O(new change); a no-op when nothing new was captured. *)
 
-val rebalance : t -> entry list * entry list
+val rebalance : t -> Partial.part list * Partial.part list
 (** {!pump}, then reclassify each group's keys and migrate: returns
-    [(promoted, demoted)] heavy entries — register the former for
+    [(promoted, demoted)] heavy parts — register the former for
     maintenance, retire the latter. A group that is not provably fresh
     (pending capture work, or a heavy mirror lagging its controller)
     defers migration to a later call rather than risk an inexact
     handoff. *)
-
-val sync : entry -> unit
-(** Fold the partial's applied-but-unmirrored view-delta suffix (up to
-    its controller's high-water mark) into its probe mirror. *)
-
-val gc : entry -> int
-(** {!sync}, then prune the partial's applied delta rows
-    ({!Controller.gc}) — in that order. Returns rows removed. *)
-
-val fresh_for : t -> owner:string -> bool
-(** Whether every partitioned relation of [owner]'s groups is provably
-    substitutable right now (all parts cover the base's captured delta and
-    nothing is pending). *)
-
-val entries : t -> entry list
-
-val for_owner : t -> owner:string -> entry list
-
-val find : t -> string -> entry option
-
-val name : entry -> string
-
-val key : entry -> int
-
-val base : entry -> string
-
-val controller : entry -> Controller.t
-
-val mirror : entry -> Roll_storage.Table.t
-
-val mirror_as_of : entry -> Roll_delta.Time.t
-
-val lag : t -> entry -> Roll_delta.Time.t
-(** How far the entry's mirror trails the database clock; 0 when caught
-    up. As with auxiliaries, {!fresh_for} is the authoritative test. *)
 
 val heavy_count : t -> owner:string -> int
 (** Currently-heavy keys across [owner]'s groups. *)
@@ -141,7 +92,7 @@ val sketch_keys : t -> int
 (** Total sketch occupancy across groups (tracked keys, not heavy ones). *)
 
 val light_rows : t -> owner:string -> int
-(** Rows held by the light residual mirrors of [owner]'s groups. *)
+(** Rows held by the light residuals of [owner]'s groups. *)
 
 val partitioned : t -> owner:string -> (string * int) list
 (** The (relation, column) pairs [owner] is partitioned on. *)

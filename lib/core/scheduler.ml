@@ -27,8 +27,7 @@ type scored = {
   deferred : bool;
   window : (string * Time.t * Time.t) option;
   readers : int;  (** clients waiting on this view's hwm when planned *)
-  aux : bool;  (** the item maintains an auxiliary view *)
-  hot : bool;  (** the item maintains a heavy-key partial *)
+  partial : bool;  (** the item maintains a part of a derived partial *)
 }
 
 type source = {
@@ -39,8 +38,7 @@ type source = {
   apply_due : bool;
   checkpoint_due : bool;
   gc_due : bool;
-  aux : bool;
-  hot : bool;
+  partial : bool;
 }
 
 type t = {
@@ -86,22 +84,16 @@ let deferred_band = 1.0e15
    boost) disappears and the queue reverts to slack order. *)
 let reader_band = 1.0e5
 
-(* Auxiliary band: a runnable propagate step of an auxiliary view normally
-   drops below every user-view slack score, so auxiliaries freshen first
-   within a drain and the substitution probes they feed actually hit. The
-   boost flips sign the moment any unpaused user view is in SLA breach
-   (slack < 0): auxiliaries are an optimization, and they must never hold a
-   late user view's budget hostage — scored below user-view SLAs, exactly.
-   The band sits below the reader boost: a view with blocked readers is
-   accumulating latency right now and still outranks aux freshening. *)
-let aux_band = 1.0e4
-
-(* Heavy-partial band: a heavy key's per-key partial is scheduled exactly
-   like an auxiliary view — freshen before in-SLA user work so the η-union
-   substitution actually hits, but never ahead of a user view already in
-   breach. Kept as its own constant (same magnitude) so the two knobs can
-   diverge without touching call sites. *)
-let hot_band = 1.0e4
+(* Partial band: a runnable propagate step of a derived partial's part (an
+   auxiliary view or a heavy key's partial) normally drops below every
+   user-view slack score, so parts freshen first within a drain and the
+   substitution reads they feed actually hit. The boost flips sign the
+   moment any unpaused user view is in SLA breach (slack < 0): partials
+   are an optimization, and they must never hold a late user view's
+   budget hostage — scored below user-view SLAs, exactly. The band sits
+   below the reader boost: a view with blocked readers is accumulating
+   latency right now and still outranks partial freshening. *)
+let partial_band = 1.0e4
 
 let create ?(policy = Slack) ?(cost_weight = 0.01) ?capture_batch db capture =
   (match capture_batch with
@@ -190,12 +182,12 @@ let ran_by_domain t =
    reaches past the capture high-water mark is marked deferred: running it
    would make the executor read an under-captured window. *)
 let propagate_items t ~now ~capture_hwm sources =
-  (* Any user view already past its SLA flips the auxiliary boost: late
-     user work runs before aux freshening, fresh-enough user work after. *)
+  (* Any user view already past its SLA flips the partial boost: late
+     user work runs before part freshening, fresh-enough user work after. *)
   let user_breach =
     List.exists
       (fun (src : source) ->
-        (not src.paused) && (not src.aux) && (not src.hot)
+        (not src.paused) && (not src.partial)
         && now - Controller.hwm src.controller > src.sla)
       sources
   in
@@ -224,10 +216,9 @@ let propagate_items t ~now ~capture_hwm sources =
                          (float_of_int (rounds_of t src.name) *. rr_sweep_band)
                          +. float_of_int reg_index
                    in
-                   if src.aux then
-                     if user_breach then base +. aux_band else base -. aux_band
-                   else if src.hot then
-                     if user_breach then base +. hot_band else base -. hot_band
+                   if src.partial then
+                     if user_breach then base +. partial_band
+                     else base -. partial_band
                    else if readers > 0 then base -. reader_band
                    else base
                in
@@ -249,8 +240,7 @@ let propagate_items t ~now ~capture_hwm sources =
                    deferred;
                    window = Some (table, c.Controller.lo, c.Controller.hi);
                    readers;
-                   aux = src.aux;
-                   hot = src.hot;
+                   partial = src.partial;
                  };
                ])
        sources)
@@ -279,8 +269,7 @@ let capture_item t =
         deferred = false;
         window = None;
         readers = 0;
-        aux = false;
-        hot = false;
+        partial = false;
       };
     ]
 
@@ -319,8 +308,7 @@ let background_items t ~now sources =
                 deferred = false;
                 window = None;
                 readers = 0;
-                aux = src.aux;
-                hot = src.hot;
+                partial = src.partial;
               };
             ]
         in
@@ -335,8 +323,7 @@ let background_items t ~now sources =
             deferred = false;
             window = None;
             readers = 0;
-            aux = src.aux;
-            hot = src.hot;
+            partial = src.partial;
           }
         in
         let checkpoint =

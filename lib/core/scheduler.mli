@@ -65,8 +65,7 @@ type scored = {
   readers : int;
       (** clients currently blocked waiting on this view's freshness (see
           {!set_read_demand}); 0 for non-propagate kinds *)
-  aux : bool;  (** the item maintains an auxiliary view *)
-  hot : bool;  (** the item maintains a heavy-key partial *)
+  partial : bool;  (** the item maintains a part of a derived partial *)
 }
 
 type source = {
@@ -82,19 +81,15 @@ type source = {
           ping-pong apply against propagate until the budget is gone. *)
   checkpoint_due : bool;  (** offer a [Checkpoint] item (full drains only) *)
   gc_due : bool;  (** offer a [Gc] item (full drains only) *)
-  aux : bool;
-      (** an {!Auxiliary} view: its propagate items score one fixed band
-          {e below} every user view's slack score while all user views are
-          within their SLAs (auxiliaries must freshen first for their
-          substitution probes to hit), and one band {e above} the moment
+  partial : bool;
+      (** a part of a derived partial (an auxiliary view or a heavy key's
+          partial, see {!Partial}): its propagate items score one fixed
+          band {e below} every user view's slack score while all user
+          views are within their SLAs (parts must freshen first for their
+          substitution reads to hit), and one band {e above} the moment
           any unpaused user view is in breach — an optimization never
-          outranks a violated SLA. The band sits below the reader boost. *)
-  hot : bool;
-      (** a {!Hotset} heavy-key partial: scored exactly like [aux] (its
-          own band constant, same magnitude) — freshen before in-SLA user
-          work so the η-union substitution hits, never ahead of a user
-          view in breach. Excluded, like [aux], from the breach test
-          itself. *)
+          outranks a violated SLA. The band sits below the reader boost.
+          Parts are excluded from the breach test itself. *)
 }
 
 type t

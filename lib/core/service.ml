@@ -14,14 +14,11 @@ type entry = {
   mutable sla : int;
   mutable checkpoint : (string * int) option;  (** path, commits between *)
   mutable last_checkpoint : Time.t;
-  aux_of : Auxiliary.entry option;
-      (** [Some] when this entry maintains an auxiliary view: the registry
-          entry whose mirror must be synced after the controller's
-          high-water mark advances *)
-  hot_of : Hotset.entry option;
-      (** [Some] when this entry maintains a heavy key's partial: the
-          hotset registry entry whose mirror must be synced after the
-          controller's high-water mark advances *)
+  partial_of : Partial.part option;
+      (** [Some] when this entry maintains a part of a derived partial
+          (an auxiliary view or a heavy key's partial): the part whose
+          mirror must be synced after the controller's high-water mark
+          advances *)
 }
 
 type status = {
@@ -43,8 +40,8 @@ type status = {
   aux_hits : int;  (** substitution probes served from fresh auxiliaries *)
   aux_misses : int;  (** probes that fell back to the base table *)
   aux_lag : int;
-      (** an auxiliary's mirror lag behind the clock; for a user view, the
-          worst lag among its auxiliaries (0 when it has none) *)
+      (** a part's mirror lag behind the clock; for a user view, the worst
+          lag across its partials' parts (0 when it has none) *)
   hot : bool;  (** this entry is a heavy key's partial *)
   hot_hits : int;  (** substitution reads served from fresh partitions *)
   hot_misses : int;  (** partition consultations that fell back *)
@@ -69,21 +66,24 @@ type t = {
       (** worker-domain pool; [Some] switches drains to wave execution *)
   mutable gc_threshold : int;
   mutable entries : entry list;  (** registration order *)
-  auxiliary : Auxiliary.t option;
-      (** higher-order delta registry; [Some] iff auxiliary views are
-          enabled for this service *)
+  partials : Partial.registry;  (** every derived partial's parts *)
+  narrowing : bool;  (** whether auxiliary views are enabled *)
   hotset : Hotset.t option;
-      (** heavy-light partition registry; [Some] iff skew-aware
-          partitioning is enabled for this service *)
+      (** the partitioning policy; [Some] iff skew-aware partitioning is
+          enabled for this service *)
 }
 
 let env_domains () =
   match Sys.getenv_opt "ROLL_DOMAINS" with
   | None -> None
+  | Some s when String.trim s = "" -> None
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n when n >= 1 -> Some n
-      | Some _ | None -> None)
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf
+               "ROLL_DOMAINS=%S: expected a positive domain count" s))
 
 (* ROLL_SHARING / ROLL_AUX / ROLL_HOTSET: environment defaults for the
    [sharing], [auxiliary] and [hotset] flags, so the whole test/bench
@@ -124,6 +124,7 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
       (Scheduler.stats scheduler)
       (Roll_obs.Obs.metrics obs)
   end;
+  let partials = Partial.create db capture in
   {
     db;
     capture;
@@ -138,8 +139,9 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
       | Some n -> Some (Roll_util.Dpool.create ~domains:n ()));
     gc_threshold;
     entries = [];
-    auxiliary = (if auxiliary then Some (Auxiliary.create db capture) else None);
-    hotset = (if hotset then Some (Hotset.create db capture) else None);
+    partials;
+    narrowing = auxiliary;
+    hotset = (if hotset then Some (Hotset.create partials) else None);
   }
 
 let scheduler t = t.scheduler
@@ -181,7 +183,7 @@ let enable_sharing t controller =
     Controller.set_window_alignment controller true
   end
 
-let add_entry ?aux_of ?hot_of t name controller =
+let add_entry ?partial_of t name controller =
   let e =
     {
       name;
@@ -190,8 +192,7 @@ let add_entry ?aux_of ?hot_of t name controller =
       sla = t.default_sla;
       checkpoint = None;
       last_checkpoint = Database.now t.db;
-      aux_of;
-      hot_of;
+      partial_of;
     }
   in
   t.entries <- t.entries @ [ e ];
@@ -223,51 +224,39 @@ let add_entry ?aux_of ?hot_of t name controller =
 
 let obs_arg t = if Roll_obs.Obs.enabled t.obs then Some t.obs else None
 
-(* Derive and wire the higher-order auxiliaries for a freshly registered
-   view. Each auxiliary the registry hands back that is not already a
-   service entry (sibling views share entries via signature dedupe)
-   becomes an ordinary entry of its own — scheduler items, waves, durable
-   frontiers and recovery all come from the same machinery as a user
-   view's. Auxiliaries are durable exactly when their owner is: the
-   substitution is an optimization, so it must never out-persist the view
-   it serves. *)
-let attach_auxiliaries t ~recover owner_controller =
-  match t.auxiliary with
-  | None -> ()
-  | Some reg ->
-      let durable = Controller.durable owner_controller in
-      List.iter
-        (fun ae ->
-          let aname = Auxiliary.name ae in
-          if
-            not
-              (List.exists
-                 (fun (e : entry) -> String.equal e.name aname)
-                 t.entries)
-          then add_entry ~aux_of:ae t aname (Auxiliary.controller ae))
-        (Auxiliary.attach ~durable ~recover ?obs:(obs_arg t) reg
-           owner_controller)
+(* Parts handed back by a partial policy become ordinary service entries —
+   scheduler items, waves, durable frontiers and recovery all come from
+   the same machinery as a user view's. Sibling views share parts through
+   the registry's signature dedupe, so a part may already be an entry. *)
+let add_part_entries t parts =
+  List.iter
+    (fun part ->
+      let name = Partial.name part in
+      if
+        not
+          (List.exists (fun (e : entry) -> String.equal e.name name) t.entries)
+      then add_entry ~partial_of:part t name (Partial.controller part))
+    parts
 
-(* Same wiring for the heavy-light partition registry: each heavy key's
-   partial the registry hands back (shared across sibling owners via the
-   partial-signature dedupe) that is not already a service entry becomes an
-   ordinary entry, so heavy partials get scheduler items, waves, durable
-   frontiers and recovery from the same machinery as user views. *)
-let hot_entry_known t he =
-  List.exists
-    (fun (e : entry) -> String.equal e.name (Hotset.name he))
-    t.entries
-
-let attach_hotset t ~recover owner_controller =
-  match t.hotset with
-  | None -> ()
-  | Some reg ->
-      let durable = Controller.durable owner_controller in
-      List.iter
-        (fun he ->
-          if not (hot_entry_known t he) then
-            add_entry ~hot_of:he t (Hotset.name he) (Hotset.controller he))
-        (Hotset.attach ~durable ~recover ?obs:(obs_arg t) reg owner_controller)
+(* Derive and wire the partials of a freshly registered view. Narrowing
+   attaches first, so at a source with both an auxiliary and a partition
+   group the executor consults the auxiliary first. Parts are durable
+   exactly when their owner is: substitution is an optimization, so it
+   must never out-persist the view it serves. *)
+let attach_partials t ~recover owner_controller =
+  let durable = Controller.durable owner_controller in
+  let obs = obs_arg t in
+  let narrowed =
+    if t.narrowing then
+      Partial.attach ~durable ~recover ?obs t.partials owner_controller
+    else []
+  in
+  let heavy =
+    match t.hotset with
+    | Some h -> Hotset.attach ~durable ~recover ?obs h owner_controller
+    | None -> []
+  in
+  add_part_entries t (narrowed @ heavy)
 
 let register ?(durable = false) t ~algorithm view =
   let name = View.name view in
@@ -278,8 +267,7 @@ let register ?(durable = false) t ~algorithm view =
   in
   enable_sharing t controller;
   add_entry t name controller;
-  attach_auxiliaries t ~recover:false controller;
-  attach_hotset t ~recover:false controller;
+  attach_partials t ~recover:false controller;
   controller
 
 let register_recovered ?checkpoint t ~algorithm view =
@@ -294,11 +282,10 @@ let register_recovered ?checkpoint t ~algorithm view =
      land frontiers exactly where the markers recorded them, un-snapped. *)
   enable_sharing t controller;
   add_entry t name controller;
-  attach_auxiliaries t ~recover:true controller;
-  attach_hotset t ~recover:true controller;
+  attach_partials t ~recover:true controller;
   controller
 
-let auxiliary t = t.auxiliary
+let partials t = t.partials
 
 let hotset t = t.hotset
 
@@ -327,19 +314,12 @@ let set_gc_threshold t rows =
   if rows <= 0 then invalid_arg "Service.set_gc_threshold";
   t.gc_threshold <- rows
 
-let aux_lag_of t (e : entry) =
-  match t.auxiliary with
-  | None -> 0
-  | Some reg -> (
-      match e.aux_of with
-      | Some ae -> Auxiliary.lag reg ae
-      | None ->
-          (* A user view's freshness exposure: the worst mirror lag among
-             the auxiliaries its probes depend on. *)
-          List.fold_left
-            (fun acc ae -> max acc (Auxiliary.lag reg ae))
-            0
-            (Auxiliary.for_owner reg ~owner:e.name))
+(* A part's mirror lag; for a user view, the worst lag across every part
+   of the partials its probes depend on. *)
+let partial_lag t (e : entry) =
+  match e.partial_of with
+  | Some part -> Partial.lag t.partials part
+  | None -> Partial.owner_lag t.partials ~owner:e.name
 
 let status t =
   let now = Database.now t.db in
@@ -348,6 +328,11 @@ let status t =
       let hwm = Controller.hwm e.controller in
       let stats = Controller.stats e.controller in
       let staleness = now - hwm in
+      let narrowed =
+        Option.map
+          (fun (part : Partial.part) -> part.Partial.key = None)
+          e.partial_of
+      in
       {
         name = e.name;
         as_of = Controller.as_of e.controller;
@@ -363,21 +348,20 @@ let status t =
         memo_hits = Stats.memo_hits stats;
         memo_misses = Stats.memo_misses stats;
         shared_builds = Stats.shared_builds stats;
-        aux = Option.is_some e.aux_of;
+        aux = narrowed = Some true;
         aux_hits = Stats.aux_hits stats;
         aux_misses = Stats.aux_misses stats;
-        aux_lag = aux_lag_of t e;
-        hot = Option.is_some e.hot_of;
+        aux_lag = partial_lag t e;
+        hot = narrowed = Some false;
         hot_hits = Stats.hot_hits stats;
         hot_misses = Stats.hot_misses stats;
         heavy_keys =
           (match t.hotset with
-          | Some reg when e.hot_of = None ->
-              Hotset.heavy_count reg ~owner:e.name
+          | Some h when narrowed = None -> Hotset.heavy_count h ~owner:e.name
           | _ -> 0);
         light_rows =
           (match t.hotset with
-          | Some reg when e.hot_of = None -> Hotset.light_rows reg ~owner:e.name
+          | Some h when narrowed = None -> Hotset.light_rows h ~owner:e.name
           | _ -> 0);
         reads_served = Stats.reads_served stats;
         reads_rejected = Stats.reads_rejected stats;
@@ -389,46 +373,35 @@ let pause t name = (find t name).paused <- true
 
 let resume t name = (find t name).paused <- false
 
-(* Removing a user view releases its claim on its auxiliaries; auxiliaries
-   left with no owner at all are orphans — their entries leave the service
-   with the registry entry, so no more maintenance items are planned for
-   them and their mirrors become unreachable. *)
+(* Removing a user view releases its claim on its partials; parts left
+   with no owner at all are orphans — their entries leave the service with
+   the registry entry, so no more maintenance items are planned for them
+   and their mirrors become unreachable. *)
+let remove_part_entries t parts =
+  t.entries <-
+    List.filter
+      (fun (x : entry) ->
+        not
+          (List.exists
+             (fun part -> String.equal (Partial.name part) x.name)
+             parts))
+      t.entries
+
 let unregister t name =
   let e = find t name in
-  if Option.is_some e.aux_of then
-    invalid_arg
-      ("Service.unregister: " ^ name
-     ^ " is an auxiliary view; it is retired when its last owner goes");
-  if Option.is_some e.hot_of then
-    invalid_arg
-      ("Service.unregister: " ^ name
-     ^ " is a heavy-key partial; it is retired when its last owner goes");
+  (match e.partial_of with
+  | Some part ->
+      invalid_arg
+        (Printf.sprintf
+           "Service.unregister: %s is %s; it is retired when its last owner \
+            goes"
+           name
+           (if part.Partial.key = None then "an auxiliary view"
+            else "a heavy-key partial"))
+  | None -> ());
   t.entries <-
     List.filter (fun (x : entry) -> not (String.equal x.name name)) t.entries;
-  (match t.auxiliary with
-  | None -> ()
-  | Some reg ->
-      let orphans = Auxiliary.release reg ~owner:name in
-      t.entries <-
-        List.filter
-          (fun (x : entry) ->
-            not
-              (List.exists
-                 (fun ae -> String.equal (Auxiliary.name ae) x.name)
-                 orphans))
-          t.entries);
-  match t.hotset with
-  | None -> ()
-  | Some reg ->
-      let orphans = Hotset.release reg ~owner:name in
-      t.entries <-
-        List.filter
-          (fun (x : entry) ->
-            not
-              (List.exists
-                 (fun he -> String.equal (Hotset.name he) x.name)
-                 orphans))
-          t.entries
+  remove_part_entries t (Partial.release t.partials ~owner:name)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler drain                                                     *)
@@ -457,8 +430,7 @@ let sources ?(skip = fun _ -> false) ?(bg_done = fun _ _ -> false) t =
           && not (bg_done "checkpoint" e.name);
         gc_due =
           applied_rows e >= t.gc_threshold && not (bg_done "gc" e.name);
-        aux = Option.is_some e.aux_of;
-        hot = Option.is_some e.hot_of;
+        partial = Option.is_some e.partial_of;
       })
     t.entries
 
@@ -491,12 +463,17 @@ let reclaim_wal t =
    [bg_done] so each runs at most once per view per drain: a durable apply
    or checkpoint commits a frontier marker, which re-stales the view by one
    commit and would otherwise re-offer the item forever. *)
-(* Mirror maintenance piggybacks on the items that move an auxiliary's
+(* Mirror maintenance piggybacks on the items that move a part's
    high-water mark: every new permanently-committed view-delta row folds
    into the probe mirror right after the step that produced it. *)
-let sync_aux (e : entry) =
-  (match e.aux_of with Some ae -> Auxiliary.sync ae | None -> ());
-  match e.hot_of with Some he -> Hotset.sync he | None -> ()
+let sync_part (e : entry) = Option.iter Partial.sync e.partial_of
+
+(* A part syncs its mirror before pruning: the mirror reads the very delta
+   window the prune reclaims. *)
+let gc_entry (e : entry) =
+  match e.partial_of with
+  | Some part -> Partial.gc part
+  | None -> Controller.gc e.controller
 
 let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
     =
@@ -508,7 +485,7 @@ let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
       let e = find t view in
       match step e.controller with
       | Ok true ->
-          sync_aux e;
+          sync_part e;
           Ok true
       | Ok false ->
           Log.warn (fun m ->
@@ -521,7 +498,7 @@ let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
       mark_bg "apply" view;
       let e = find t view in
       Controller.refresh_to e.controller (Controller.hwm e.controller);
-      sync_aux e;
+      sync_part e;
       Ok true
   | Scheduler.Checkpoint view -> (
       mark_bg "checkpoint" view;
@@ -538,18 +515,20 @@ let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
          corrupt them — but a replay could re-emit rows the prune just
          reclaimed. Drop the memo rather than reason about overlap. *)
       if t.sharing then Memo.clear t.memo;
-      let e = find t view in
-      (* An auxiliary (or heavy partial) syncs its mirror before pruning:
-         the mirror reads the very delta window the prune reclaims. *)
-      (match (e.aux_of, e.hot_of) with
-      | Some ae, _ -> ignore (Auxiliary.gc ae)
-      | None, Some he -> ignore (Hotset.gc he)
-      | None, None -> ignore (Controller.gc e.controller));
+      ignore (gc_entry (find t view));
       ignore (reclaim_wal t);
       Ok true
 
 let advance_capture t =
   Capture.advance ?max_records:(Scheduler.capture_batch t.scheduler) t.capture
+
+let step_error view (f : Roll_util.Retry.failure) =
+  {
+    view;
+    point = f.Roll_util.Retry.point;
+    hit = f.Roll_util.Retry.hit;
+    attempts = f.Roll_util.Retry.attempts;
+  }
 
 (* Capture advances under the retry policy: the capture fault point fires
    before any delta mutation, so a failed advance left nothing behind and
@@ -563,15 +542,9 @@ let reliable_capture t ~retry ~sleep () =
       (fun () -> advance_capture t)
   with
   | Ok () -> Ok ()
-  | Error (f : Roll_util.Retry.failure) ->
+  | Error f ->
       Stats.incr_aborts sched_stats;
-      Error
-        {
-          view = "(capture)";
-          point = f.Roll_util.Retry.point;
-          hit = f.Roll_util.Retry.hit;
-          attempts = f.Roll_util.Retry.attempts;
-        }
+      Error (step_error "(capture)" f)
 
 (* Rows a propagate item appended to its view delta, measured around the
    execution (memo replays count too — they append real rows). *)
@@ -598,23 +571,11 @@ let out_length t (item : Scheduler.item) =
 let rebalance_hotset t =
   match t.hotset with
   | None -> ()
-  | Some reg ->
-      Hotset.pump reg;
-      let promoted, demoted = Hotset.rebalance reg in
-      List.iter
-        (fun he ->
-          if not (hot_entry_known t he) then
-            add_entry ~hot_of:he t (Hotset.name he) (Hotset.controller he))
-        promoted;
-      if demoted <> [] then
-        t.entries <-
-          List.filter
-            (fun (x : entry) ->
-              not
-                (List.exists
-                   (fun he -> String.equal (Hotset.name he) x.name)
-                   demoted))
-            t.entries
+  | Some h ->
+      Hotset.pump h;
+      let promoted, demoted = Hotset.rebalance h in
+      add_part_entries t promoted;
+      remove_part_entries t demoted
 
 let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
     ~apply_sleep =
@@ -861,9 +822,9 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
       | Ok (Ok (advanced, ran_query)) ->
           Controller.note_step_durable ctl ~advanced ~executed:ran_query;
           (* Committed wave items are final (everything after the first
-             failure was already undone above), so an auxiliary member's
-             mirror can fold the step's rows in now. *)
-          sync_aux (find t view);
+             failure was already undone above), so a part's mirror can
+             fold the step's rows in now. *)
+          sync_part (find t view);
           Scheduler.note_ran ~domain:(k mod size) t.scheduler
             s.Scheduler.item ~wall:walls.(k);
           commit_metrics s ~wall:walls.(k)
@@ -953,106 +914,59 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
   end
   else body ()
 
-let plain_capture t () =
-  advance_capture t;
-  Ok ()
-
-let plain_wave_step ctl ~relation ~hi ~frozen ~sleep:_ =
-  Ok (Controller.step_window ctl ~relation ~hi ~frozen)
+(* The one drain behind [step_all], [try_step_all] and [maintain]: plain
+   steps (exceptions propagate) without [retry], steps under the retry
+   policy with it, where the first exhausted budget stops the drain as a
+   typed [step_error]. *)
+let drain ?retry ?sleep ~full t ~budget =
+  let sleep =
+    match sleep with Some f -> f | None -> Database.advance_wall t.db
+  in
+  match retry with
+  | None ->
+      drain_items ~full t ~budget
+        ~step:(fun ctl -> Ok (Controller.propagate_step ctl))
+        ~capture_run:(fun () -> Ok (advance_capture t))
+        ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep:_ ->
+          Ok (Controller.step_window ctl ~relation ~hi ~frozen))
+        ~apply_sleep:sleep
+  | Some retry ->
+      let of_view ctl =
+        Result.map_error (step_error (View.name (Controller.view ctl)))
+      in
+      drain_items ~full t ~budget
+        ~step:(fun ctl ->
+          of_view ctl (Controller.propagate_step_reliable ctl ~retry ~sleep))
+        ~capture_run:(reliable_capture t ~retry ~sleep)
+        ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep ->
+          of_view ctl
+            (Controller.step_window_reliable ctl ~relation ~hi ~frozen ~retry
+               ~sleep))
+        ~apply_sleep:sleep
 
 let step_all t ~budget =
-  match
-    drain_items ~full:false t ~budget
-      ~step:(fun ctl -> Ok (Controller.propagate_step ctl))
-      ~capture_run:(plain_capture t) ~wave_step:plain_wave_step
-      ~apply_sleep:(fun d -> Database.advance_wall t.db d)
-  with
+  match drain ~full:false t ~budget with
   | Ok steps -> steps
   | Error (_ : step_error) -> assert false
 
 let try_step_all ?sleep t ~budget ~retry =
-  let sleep =
-    match sleep with
-    | Some f -> f
-    | None -> fun d -> Database.advance_wall t.db d
-  in
-  let to_error view (f : Roll_util.Retry.failure) =
-    {
-      view;
-      point = f.Roll_util.Retry.point;
-      hit = f.Roll_util.Retry.hit;
-      attempts = f.Roll_util.Retry.attempts;
-    }
-  in
-  drain_items ~full:false t ~budget
-    ~step:(fun ctl ->
-      match Controller.propagate_step_reliable ctl ~retry ~sleep with
-      | Ok advanced -> Ok advanced
-      | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
-    ~capture_run:(reliable_capture t ~retry ~sleep)
-    ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep ->
-      match
-        Controller.step_window_reliable ctl ~relation ~hi ~frozen ~retry ~sleep
-      with
-      | Ok r -> Ok r
-      | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
-    ~apply_sleep:sleep
+  drain ~retry ?sleep ~full:false t ~budget
 
-let maintain ?retry ?sleep t ~budget =
-  match retry with
-  | None ->
-      drain_items ~full:true t ~budget
-        ~step:(fun ctl -> Ok (Controller.propagate_step ctl))
-        ~capture_run:(plain_capture t) ~wave_step:plain_wave_step
-        ~apply_sleep:(fun d -> Database.advance_wall t.db d)
-  | Some retry ->
-      let sleep =
-        match sleep with
-        | Some f -> f
-        | None -> fun d -> Database.advance_wall t.db d
-      in
-      let to_error view (f : Roll_util.Retry.failure) =
-        {
-          view;
-          point = f.Roll_util.Retry.point;
-          hit = f.Roll_util.Retry.hit;
-          attempts = f.Roll_util.Retry.attempts;
-        }
-      in
-      drain_items ~full:true t ~budget
-        ~step:(fun ctl ->
-          match Controller.propagate_step_reliable ctl ~retry ~sleep with
-          | Ok advanced -> Ok advanced
-          | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
-        ~capture_run:(reliable_capture t ~retry ~sleep)
-        ~wave_step:(fun ctl ~relation ~hi ~frozen ~sleep ->
-          match
-            Controller.step_window_reliable ctl ~relation ~hi ~frozen ~retry
-              ~sleep
-          with
-          | Ok r -> Ok r
-          | Error f -> Error (to_error (View.name (Controller.view ctl)) f))
-        ~apply_sleep:sleep
+let maintain ?retry ?sleep t ~budget = drain ?retry ?sleep ~full:true t ~budget
 
 let refresh_all t =
   List.iter
     (fun (e : entry) ->
       if not e.paused then begin
         ignore (Controller.refresh_latest e.controller);
-        sync_aux e
+        sync_part e
       end)
     t.entries
 
 let gc_all t =
   let pruned =
     List.fold_left
-      (fun acc (e : entry) ->
-        acc
-        +
-        match (e.aux_of, e.hot_of) with
-        | Some ae, _ -> Auxiliary.gc ae
-        | None, Some he -> Hotset.gc he
-        | None, None -> Controller.gc e.controller)
+      (fun acc (e : entry) -> acc + gc_entry e)
       0 t.entries
   in
   ignore (reclaim_wal t);
@@ -1136,15 +1050,15 @@ let schedule_json ?full t =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"item\":%s,\"kind\":%s,\"score\":%s,\"staleness\":%d,\"slack\":%d,\"est_rows\":%d,\"est_cost\":%s,\"deferred\":%b,\"readers\":%d,\"aux\":%b,\"hot\":%b,\"window\":%s}"
+           "{\"item\":%s,\"kind\":%s,\"score\":%s,\"staleness\":%d,\"slack\":%d,\"est_rows\":%d,\"est_cost\":%s,\"deferred\":%b,\"readers\":%d,\"partial\":%b,\"window\":%s}"
            (E.json_string
               (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item))
            (E.json_string (Scheduler.kind_name s.Scheduler.item))
            (E.json_float s.Scheduler.score)
            s.Scheduler.staleness s.Scheduler.slack s.Scheduler.est_rows
            (E.json_float s.Scheduler.est_cost)
-           s.Scheduler.deferred s.Scheduler.readers s.Scheduler.aux
-           s.Scheduler.hot window))
+           s.Scheduler.deferred s.Scheduler.readers s.Scheduler.partial
+           window))
     (schedule ?full t);
   Buffer.add_char buf ']';
   Buffer.contents buf

@@ -48,9 +48,10 @@ type status = {
       (** substitution probes that found the auxiliary lagging and fell
           back to the base table *)
   aux_lag : int;
-      (** for an auxiliary: how many commits its probe mirror trails the
-          database clock; for a user view: the worst lag among the
-          auxiliaries its probes depend on (0 when it has none) *)
+      (** for a part of a derived partial (an auxiliary or a heavy key's
+          partial): how many commits its probe mirror trails the database
+          clock; for a user view: the worst lag across every part of the
+          partials its probes depend on (0 when it has none) *)
   hot : bool;  (** this entry is a heavy key's partial, not a user view *)
   hot_hits : int;
       (** base-relation reads this view served from a fresh heavy-light
@@ -114,13 +115,14 @@ val create :
     [auxiliary] (default: the [ROLL_AUX] environment flag, off when unset)
     turns on higher-order delta processing: registering a view also
     derives, materializes and registers its per-relation semi-join/
-    projection partials as {!Auxiliary} views — ordinary service entries
-    maintained through the same capture → propagate → apply → WAL path,
-    scheduled one band below user-view SLAs — and installs the
-    substitution closure so the view's propagation queries probe a fresh
-    auxiliary mirror instead of scanning the base table, falling back
-    transparently whenever the mirror lags. Like sharing, auxiliaries
-    change which physical reads happen — never the maintained contents.
+    projection partials as auxiliary views ({!Partial.attach}) —
+    ordinary service entries maintained through the same capture →
+    propagate → apply → WAL path, scheduled one band below user-view SLAs
+    — and installs the substitution closure so the view's propagation
+    queries probe a fresh auxiliary mirror instead of scanning the base
+    table, falling back transparently whenever the mirror lags. Like
+    sharing, auxiliaries change which physical reads happen — never the
+    maintained contents.
 
     [hotset] (default: the [ROLL_HOTSET] environment flag, off when unset)
     turns on skew-aware heavy-light partitioning: registering a view also
@@ -132,9 +134,10 @@ val create :
     the view's propagation queries read the η-union of the fresh parts
     instead of scanning the base relation, falling back transparently
     whenever any part lags. Keys migrate between classes at drain
-    boundaries through exact, crash-safe handoffs. Like sharing and
-    auxiliaries, the hotset changes which physical reads happen — never
-    the maintained contents.
+    boundaries through exact, crash-safe handoffs. At a source that is
+    both narrowed and partitioned the auxiliary is consulted first. Like
+    sharing and auxiliaries, the hotset changes which physical reads
+    happen — never the maintained contents.
 
     [obs] (default disabled) is the Rollscope observability handle for the
     whole service: it is installed on the database, the capture process,
@@ -160,7 +163,9 @@ val create :
 val env_domains : unit -> int option
 (** Parse the [ROLL_DOMAINS] environment variable ([n >= 1]) — the
     conventional way tests and CI select the pool size; [None] when unset
-    or unparsable. Callers pass it to [create]'s [?domains]. *)
+    or empty. Callers pass it to [create]'s [?domains].
+    @raise Invalid_argument naming the variable and its value when it is
+    set to anything else (zero, negative, not a number). *)
 
 val domains : t -> int
 (** Domain slots drains execute on: 1 for a serial service, the pool size
@@ -196,13 +201,13 @@ val unregister : t -> string -> unit
     @raise Invalid_argument when [name] is an auxiliary view or a heavy
     partial (those are retired automatically when their last owner goes). *)
 
-val auxiliary : t -> Auxiliary.t option
-(** The higher-order delta registry, when the service was created with
-    auxiliaries enabled. *)
+val partials : t -> Partial.registry
+(** The derived-partial registry: every auxiliary view and heavy-light
+    partition group the service maintains (empty when both are off). *)
 
 val hotset : t -> Hotset.t option
-(** The heavy-light partition registry, when the service was created with
-    the hotset enabled. *)
+(** The partitioning policy, when the service was created with the
+    hotset enabled. *)
 
 val controller : t -> string -> Controller.t
 (** @raise Not_found *)

@@ -23,6 +23,7 @@ open Helpers
 module Fault = Roll_util.Fault
 module Wal = Roll_storage.Wal
 module Wal_codec = Roll_storage.Wal_codec
+module Relation = Roll_relation.Relation
 
 let wal_records db =
   let wal = Database.wal db in
@@ -166,147 +167,6 @@ let run_seed ?(sample = fun b -> b mod 4 = 0) ?obs:rollscope ~txns seed =
     (C.Controller.contents ctl2);
   (point, hit)
 
-(* ------------------------------------------------------------------ *)
-(* Auxiliary-view lives: the same three-life structure over the filtered
-   scenario (the one whose view derives an auxiliary), with the auxiliary
-   maintained alongside the user controller — probabilistically, so some
-   propagation steps substitute a fresh mirror and others fall back to the
-   base table — and recovered through [Auxiliary.attach ~recover:true]
-   after the crash. Oracle equivalence must hold for the user view AND
-   for every auxiliary's recovered contents and rebuilt mirror. *)
-
-let aux_algorithm_of_seed seed =
-  match seed mod 3 with
-  | 0 -> C.Controller.Rolling (C.Rolling.uniform (2 + (seed mod 5)))
-  | 1 -> C.Controller.Uniform (3 + (seed mod 4))
-  | _ -> C.Controller.Adaptive (3 + (seed mod 6))
-
-(* One life with auxiliaries: the user-view schedule of [drive], plus a
-   2-in-3 chance per turn of freshening the auxiliaries (step + sync), so
-   the freshness test sees both outcomes along every run. *)
-let drive_aux rng s ctl entries ~txns =
-  for _ = 1 to txns do
-    (match Prng.int rng 6 with
-    | 0 | 1 | 2 -> random_txns rng s 1
-    | 3 | 4 -> ignore (C.Controller.propagate_step ctl)
-    | _ -> C.Controller.refresh_to ctl (C.Controller.hwm ctl));
-    if Prng.int rng 3 > 0 then
-      List.iter
-        (fun ae ->
-          ignore (C.Controller.propagate_step (C.Auxiliary.controller ae));
-          C.Auxiliary.sync ae)
-        entries
-  done;
-  ignore (C.Controller.refresh_latest ctl);
-  List.iter
-    (fun ae ->
-      ignore (C.Controller.refresh_latest (C.Auxiliary.controller ae));
-      C.Auxiliary.sync ae)
-    entries
-
-let check_aux seed ~life s entries =
-  List.iter
-    (fun ae ->
-      let actl = C.Auxiliary.controller ae in
-      let tag msg =
-        Printf.sprintf "seed %d: %s aux %s %s" seed life (C.Auxiliary.name ae)
-          msg
-      in
-      Alcotest.check relation (tag "contents")
-        (C.Oracle.view_at s.history (C.Auxiliary.view ae)
-           (C.Controller.as_of actl))
-        (C.Controller.contents actl);
-      Alcotest.check relation (tag "mirror")
-        (C.Oracle.view_at s.history (C.Auxiliary.view ae)
-           (C.Auxiliary.mirror_as_of ae))
-        (Table.contents (C.Auxiliary.mirror ae)))
-    entries
-
-(* Three lives with a crash, as [run_seed], over the auxiliary scenario.
-   Returns the crash site plus the substitution hits observed after
-   recovery, so callers can assert the fleet as a whole exercised both the
-   probe and the fallback paths. *)
-let run_seed_aux ?(sample = fun b -> b mod 4 = 0) ~txns seed =
-  let algorithm = aux_algorithm_of_seed seed in
-  let wire s ~recover =
-    let ctl =
-      if recover then
-        C.Controller.recover s.db s.capture s.view ~algorithm
-      else C.Controller.create ~durable:true s.db s.capture s.view ~algorithm
-    in
-    let reg = C.Auxiliary.create ~interval:(2 + (seed mod 4)) s.db s.capture in
-    let entries =
-      C.Auxiliary.attach ~durable:true ~recover reg ctl
-    in
-    if entries = [] then Alcotest.failf "seed %d: no auxiliary derived" seed;
-    (ctl, reg, entries)
-  in
-  let install fault ctl entries =
-    (C.Controller.ctx ctl).C.Ctx.fault <- fault;
-    List.iter
-      (fun ae ->
-        (C.Controller.ctx (C.Auxiliary.controller ae)).C.Ctx.fault <- fault)
-      entries
-  in
-  (* Life 1: profile reachable fault sites (user and auxiliary alike). *)
-  let obs = Fault.observer () in
-  let s_obs = filtered () in
-  let ctl_obs, _, entries_obs = wire s_obs ~recover:false in
-  install obs ctl_obs entries_obs;
-  Capture.set_fault s_obs.capture obs;
-  drive_aux (Prng.create ~seed) s_obs ctl_obs entries_obs ~txns;
-  let sites = Array.of_list (Fault.sites obs) in
-  if Array.length sites = 0 then
-    Alcotest.failf "seed %d: no fault sites reached" seed;
-  (* Life 2: crash at a random reachable site. *)
-  let hrng = Prng.create ~seed:(seed + 200_000) in
-  let point, visits = Prng.pick hrng sites in
-  let hit = 1 + Prng.int hrng visits in
-  let crash = Fault.create ~rules:[ Fault.Crash_at { point; hit } ] () in
-  let s = filtered () in
-  let ctl1, _, entries1 = wire s ~recover:false in
-  install crash ctl1 entries1;
-  Capture.set_fault s.capture crash;
-  let crashed =
-    try
-      drive_aux (Prng.create ~seed) s ctl1 entries1 ~txns;
-      false
-    with Fault.Crash _ -> true
-  in
-  if not crashed then
-    Alcotest.failf "seed %d: crash at %s visit %d never fired" seed point hit;
-  let durable = durable_frontier seed s.db s.view in
-  (* Life 3: restart from the WAL alone; the user controller and every
-     auxiliary recover, and the mirrors are rebuilt from recovered
-     contents. *)
-  let s2 = restart filtered s.db in
-  let ctl2, _, entries2 = wire s2 ~recover:true in
-  check_recovery seed ~algorithm ~durable s2 ctl2 ~sample;
-  check_aux seed ~life:"recovered" s2 entries2;
-  (* Keep living on the recovered state, then the final oracle checks. *)
-  drive_aux (Prng.create ~seed:(seed + 1)) s2 ctl2 entries2 ~txns;
-  Alcotest.check relation
-    (Printf.sprintf "seed %d: final contents (crashed at %s#%d)" seed point
-       hit)
-    (C.Oracle.view_at s2.history s2.view (C.Controller.as_of ctl2))
-    (C.Controller.contents ctl2);
-  check_aux seed ~life:"final" s2 entries2;
-  (point, hit, C.Stats.aux_hits (C.Controller.stats ctl2))
-
-let run_seeds_aux ?sample ~txns ~first ~count () =
-  let exercised = Hashtbl.create 16 in
-  let hits = ref 0 in
-  for seed = first to first + count - 1 do
-    let point, _, h = run_seed_aux ?sample ~txns seed in
-    hits := !hits + h;
-    Hashtbl.replace exercised point ()
-  done;
-  if !hits = 0 then
-    Alcotest.fail
-      "auxiliary fleet: substitution never fired across any seed";
-  Hashtbl.fold (fun point () acc -> point :: acc) exercised []
-  |> List.sort String.compare
-
 let run_seeds ?sample ~txns ~first ~count () =
   let exercised = Hashtbl.create 16 in
   for seed = first to first + count - 1 do
@@ -317,67 +177,65 @@ let run_seeds ?sample ~txns ~first ~count () =
   |> List.sort String.compare
 
 (* ------------------------------------------------------------------ *)
-(* Hotset lives: the three-life structure over the filtered scenario
-   with heavy-light partitioning attached. The schedule interleaves
-   skewed updates (so keys promote), a mid-run skew flip (so they demote
-   again), propagation, heavy-partial freshening and explicit migration
-   points — so the crash life can land inside [hotset.promote] and
-   [hotset.demote] handoff windows as well as anywhere the plain and
-   auxiliary fleets reach. After recovery the durable heavy set is
-   re-derived from the WAL markers alone and the light ⊎ heavy union
-   must still be exactly the partial. *)
+(* Partial lives: the three-life structure over the filtered scenario,
+   whose source r derives the partial π_{k,v}(σ_{tag>=1}(r)), with one
+   policy's parts maintained alongside the user controller —
+   probabilistically, so some propagation steps substitute fresh parts
+   and others fall back to the base table — and recovered through the
+   policy's attach with [~recover:true] after the crash. Under
+   partitioning the schedule also interleaves skewed updates (so keys
+   promote), a mid-run skew flip (so they demote again) and explicit
+   migration points, so the crash life can land inside the
+   [hotset.promote] and [hotset.demote] handoff windows. After recovery
+   the user view, every part's contents and mirror, and the union of the
+   parts must all be oracle-exact. *)
 
-let hot_owner = "rsf"
+type policy = Narrowing | Partitioning
 
-module Relation = Roll_relation.Relation
-module Tuple = Roll_relation.Tuple
-module Value = Roll_relation.Value
+let partial_owner = "rsf"
 
-(* π_{k,v}(σ_{tag>=1}(r)) computed straight from the table. *)
-let hot_expected_partial db schema =
-  let r = Database.table db "r" in
-  let out = Relation.of_list schema [] in
-  Relation.iter
-    (fun tuple count ->
-      match Tuple.get tuple 2 with
-      | Value.Int tag when tag >= 1 ->
-          Relation.add out (Tuple.project tuple [ 0; 1 ]) count
-      | _ -> ())
-    (Table.contents r);
-  out
+let partial_algorithm_of_seed seed =
+  match seed mod 3 with
+  | 0 -> C.Controller.Rolling (C.Rolling.uniform (2 + (seed mod 5)))
+  | 1 -> C.Controller.Uniform (3 + (seed mod 4))
+  | _ -> C.Controller.Adaptive (3 + (seed mod 6))
 
-let hot_install fault ctl reg =
+let install fault ctl ?hotset reg =
   (C.Controller.ctx ctl).C.Ctx.fault <- fault;
-  C.Hotset.set_fault reg fault;
+  Option.iter (fun h -> C.Hotset.set_fault h fault) hotset;
   List.iter
-    (fun he ->
-      (C.Controller.ctx (C.Hotset.controller he)).C.Ctx.fault <- fault)
-    (C.Hotset.for_owner reg ~owner:hot_owner)
+    (fun part ->
+      (C.Controller.ctx (C.Partial.controller part)).C.Ctx.fault <- fault)
+    (C.Partial.for_owner reg ~owner:partial_owner)
 
-(* One life: skewed updates with a mid-run flip, user propagation, heavy
-   freshening, and migration points. Every promoted controller inherits
-   the life's fault handle right after the rebalance that created it. *)
-let drive_hot rng fault s ctl reg ~txns =
+(* One life: the user-view schedule of [drive], a 2-in-3 chance per turn of
+   freshening the parts (step + sync) so the freshness test sees both
+   outcomes, and — under partitioning — skewed inserts with a mid-run flip
+   and migration points. Every promoted controller inherits the life's
+   fault handle right after the rebalance that created it. *)
+let drive_partial rng fault s ctl ?hotset reg ~txns =
   let zipf = Roll_util.Zipf.create ~n:8 ~theta:1.5 in
-  let heavies () = C.Hotset.for_owner reg ~owner:hot_owner in
-  let freshen_heavy step =
+  let freshen step =
     List.iter
-      (fun he ->
-        let hctl = C.Hotset.controller he in
-        if step then ignore (C.Controller.propagate_step hctl)
-        else ignore (C.Controller.refresh_latest hctl);
-        C.Hotset.sync he)
-      (heavies ())
+      (fun part ->
+        let c = C.Partial.controller part in
+        if step then ignore (C.Controller.propagate_step c)
+        else ignore (C.Controller.refresh_latest c);
+        C.Partial.sync part)
+      (C.Partial.for_owner reg ~owner:partial_owner)
   in
   let migrate () =
-    Capture.advance s.capture;
-    freshen_heavy false;
-    ignore (C.Hotset.rebalance reg);
-    hot_install fault ctl reg
+    Option.iter
+      (fun h ->
+        Capture.advance s.capture;
+        freshen false;
+        ignore (C.Hotset.rebalance h);
+        install fault ctl ?hotset reg)
+      hotset
   in
   for turn = 1 to txns do
-    (match Prng.int rng 8 with
-    | 0 | 1 ->
+    (match Prng.int rng (if Option.is_some hotset then 8 else 6) with
+    | 0 | 1 when Option.is_some hotset ->
         (* Skewed inserts into the partitioned relation; the second half
            of the schedule flips the head so earlier heavy keys drain. *)
         for _ = 1 to 6 do
@@ -386,121 +244,139 @@ let drive_hot rng fault s ctl reg ~txns =
           ignore
             (Database.run s.db (fun txn ->
                  Database.insert txn ~table:"r"
-                   (Tuple.ints [ k; Prng.int rng 5; Prng.int rng 5 ])))
+                   (Roll_relation.Tuple.ints
+                      [ k; Prng.int rng 5; Prng.int rng 5 ])))
         done
-    | 2 -> random_txns rng s 1
+    | 0 | 1 | 2 -> random_txns rng s 1
     | 3 | 4 -> ignore (C.Controller.propagate_step ctl)
     | 5 -> C.Controller.refresh_to ctl (C.Controller.hwm ctl)
     | _ -> migrate ());
-    if Prng.int rng 3 > 0 then freshen_heavy true
+    if Prng.int rng 3 > 0 then freshen true
   done;
   ignore (C.Controller.refresh_latest ctl);
   migrate ();
-  freshen_heavy false
+  freshen false
 
-(* The light ⊎ heavy union must be exactly the partial once every part is
-   freshened — no tuple lost or double-counted by any migration or
-   recovery on the way here. *)
-let check_hot seed ~life s ctl reg =
-  Capture.advance s.capture;
-  C.Hotset.pump reg;
+(* Every maintained part's contents and mirror against the oracle as
+   they stand; then, once every part is freshened, the union of the parts
+   must be exactly the partial — no tuple lost or double-counted by any
+   migration or recovery on the way here. *)
+let check_partial seed ~life s ctl ?hotset reg =
+  let tag msg = Printf.sprintf "seed %d: %s %s" seed life msg in
   List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg ~owner:hot_owner);
-  let tag msg = Printf.sprintf "seed %d: %s hotset %s" seed life msg in
-  match (C.Controller.ctx ctl).C.Ctx.hot with
-  | None -> Alcotest.failf "seed %d: %s: no substitution closure" seed life
-  | Some lookup -> (
-      match lookup ~peek:true 0 with
-      | None ->
-          (* No heavy keys right now: the partition is all-light and the
-             executor plans against the base table. *)
-          Alcotest.(check int) (tag "all-light census") 0
-            (C.Hotset.heavy_count reg ~owner:hot_owner)
-      | Some h ->
-          let schema = Table.schema (List.hd h.C.Ctx.parts) in
-          let union =
-            List.fold_left
-              (fun acc part -> Relation.union acc (Table.contents part))
-              (Relation.of_list schema [])
-              h.C.Ctx.parts
-          in
-          Alcotest.check relation
-            (tag "light ⊎ heavy = partial")
-            (hot_expected_partial s.db schema)
-            union)
+    (fun part ->
+      let c = C.Partial.controller part in
+      let oracle = C.Oracle.view_at s.history (C.Controller.view c) in
+      Alcotest.check relation
+        (tag (C.Partial.name part ^ " contents"))
+        (oracle (C.Controller.as_of c))
+        (C.Controller.contents c);
+      Alcotest.check relation
+        (tag (C.Partial.name part ^ " mirror"))
+        (oracle part.C.Partial.mirror_as_of)
+        (Table.contents part.C.Partial.mirror))
+    (C.Partial.for_owner reg ~owner:partial_owner);
+  Capture.advance s.capture;
+  Option.iter C.Hotset.pump hotset;
+  freshen_parts reg ~owner:partial_owner;
+  match substituted_union ctl with
+  | None ->
+      (* No heavy keys right now: the partition is all-light and the
+         executor plans against the base table. *)
+      Alcotest.(check int) (tag "all-light census") 0
+        (List.length (C.Partial.for_owner reg ~owner:partial_owner))
+  | Some union ->
+      Alcotest.check relation (tag "union of parts = partial")
+        (filtered_partial s.db (Relation.schema union))
+        union
 
-let run_seed_hotset ?(sample = fun b -> b mod 4 = 0) ~txns seed =
-  let algorithm = aux_algorithm_of_seed seed in
+(* Three lives with a crash, as [run_seed], over the filtered scenario
+   with [policy]'s partials. Returns the crash site plus the substitution
+   hits observed after recovery, so callers can assert the fleet as a
+   whole exercised both the substitution and the fallback paths. *)
+let run_seed_partial policy ?(sample = fun b -> b mod 4 = 0) ~txns seed =
+  let algorithm = partial_algorithm_of_seed seed in
   let wire s ~recover =
     let ctl =
       if recover then C.Controller.recover s.db s.capture s.view ~algorithm
       else C.Controller.create ~durable:true s.db s.capture s.view ~algorithm
     in
-    let reg =
-      C.Hotset.create
-        ~interval:(2 + (seed mod 4))
-        ~capacity:8 ~max_heavy:3 ~enter:0.2 ~exit_:0.1 s.db s.capture
-    in
-    let recovered = C.Hotset.attach ~durable:true ~recover reg ctl in
-    (ctl, reg, recovered)
+    let reg = C.Partial.create ~interval:(2 + (seed mod 4)) s.db s.capture in
+    match policy with
+    | Narrowing ->
+        if C.Partial.attach ~durable:true ~recover reg ctl = [] then
+          Alcotest.failf "seed %d: no auxiliary derived" seed;
+        (ctl, reg, None)
+    | Partitioning ->
+        let h =
+          C.Hotset.create ~capacity:8 ~max_heavy:3 ~enter:0.2 ~exit_:0.1 reg
+        in
+        ignore (C.Hotset.attach ~durable:true ~recover h ctl);
+        (ctl, reg, Some h)
   in
-  (* Life 1: profile reachable fault sites (user, heavy partials,
-     migration windows, capture). *)
+  (* Life 1: profile reachable fault sites (user, parts, migration
+     windows, capture). *)
   let obs = Fault.observer () in
   let s_obs = filtered () in
-  let ctl_obs, reg_obs, _ = wire s_obs ~recover:false in
-  hot_install obs ctl_obs reg_obs;
+  let ctl_obs, reg_obs, hotset = wire s_obs ~recover:false in
+  install obs ctl_obs ?hotset reg_obs;
   Capture.set_fault s_obs.capture obs;
-  drive_hot (Prng.create ~seed) obs s_obs ctl_obs reg_obs ~txns;
+  drive_partial (Prng.create ~seed) obs s_obs ctl_obs ?hotset reg_obs ~txns;
   let sites = Array.of_list (Fault.sites obs) in
   if Array.length sites = 0 then
     Alcotest.failf "seed %d: no fault sites reached" seed;
   (* Life 2: crash at a random reachable site. *)
-  let hrng = Prng.create ~seed:(seed + 300_000) in
+  let offset =
+    match policy with Narrowing -> 200_000 | Partitioning -> 300_000
+  in
+  let hrng = Prng.create ~seed:(seed + offset) in
   let point, visits = Prng.pick hrng sites in
   let hit = 1 + Prng.int hrng visits in
   let crash = Fault.create ~rules:[ Fault.Crash_at { point; hit } ] () in
   let s = filtered () in
-  let ctl1, reg1, _ = wire s ~recover:false in
-  hot_install crash ctl1 reg1;
+  let ctl1, reg1, hotset = wire s ~recover:false in
+  install crash ctl1 ?hotset reg1;
   Capture.set_fault s.capture crash;
   let crashed =
     try
-      drive_hot (Prng.create ~seed) crash s ctl1 reg1 ~txns;
+      drive_partial (Prng.create ~seed) crash s ctl1 ?hotset reg1 ~txns;
       false
     with Fault.Crash _ -> true
   in
   if not crashed then
     Alcotest.failf "seed %d: crash at %s visit %d never fired" seed point hit;
   let durable = durable_frontier seed s.db s.view in
-  (* Life 3: restart from the WAL alone. The heavy set re-derives from
-     the promote/retire markers; mirrors are rebuilt derived state. *)
+  (* Life 3: restart from the WAL alone. The user controller and every
+     part recover (a partition's heavy set re-derives from its promote /
+     retire markers); mirrors are rebuilt derived state. *)
   let s2 = restart filtered s.db in
-  let ctl2, reg2, _ = wire s2 ~recover:true in
+  let ctl2, reg2, hotset = wire s2 ~recover:true in
   check_recovery seed ~algorithm ~durable s2 ctl2 ~sample;
-  check_hot seed ~life:"recovered" s2 ctl2 reg2;
+  check_partial seed ~life:"recovered" s2 ctl2 ?hotset reg2;
   (* Keep living on the recovered state, then the final checks. *)
-  drive_hot (Prng.create ~seed:(seed + 1)) Fault.none s2 ctl2 reg2 ~txns;
+  drive_partial (Prng.create ~seed:(seed + 1)) Fault.none s2 ctl2 ?hotset reg2
+    ~txns;
   Alcotest.check relation
     (Printf.sprintf "seed %d: final contents (crashed at %s#%d)" seed point
        hit)
     (C.Oracle.view_at s2.history s2.view (C.Controller.as_of ctl2))
     (C.Controller.contents ctl2);
-  check_hot seed ~life:"final" s2 ctl2 reg2;
-  (point, hit, C.Stats.hot_hits (C.Controller.stats ctl2))
+  check_partial seed ~life:"final" s2 ctl2 ?hotset reg2;
+  let stats = C.Controller.stats ctl2 in
+  (point, hit, C.Stats.aux_hits stats + C.Stats.hot_hits stats)
 
-let run_seeds_hotset ?sample ~txns ~first ~count () =
+let run_seeds_partial policy ?sample ~txns ~first ~count () =
   let exercised = Hashtbl.create 16 in
   let hits = ref 0 in
   for seed = first to first + count - 1 do
-    let point, _, h = run_seed_hotset ?sample ~txns seed in
+    let point, _, h = run_seed_partial policy ?sample ~txns seed in
     hits := !hits + h;
     Hashtbl.replace exercised point ()
   done;
   if !hits = 0 then
-    Alcotest.fail "hotset fleet: heavy-light substitution never fired";
+    Alcotest.failf "%s fleet: substitution never fired across any seed"
+      (match policy with
+      | Narrowing -> "narrowing"
+      | Partitioning -> "partitioning");
   Hashtbl.fold (fun point () acc -> point :: acc) exercised []
   |> List.sort String.compare

@@ -96,6 +96,42 @@ let filtered () =
   in
   { db; capture; history = History.create db; view }
 
+(* The filtered scenario's partial for source 0, π_{k,v}(σ_{tag>=1}(r)),
+   computed straight from the table contents — what every derived
+   partial of r must hold once its parts are fresh. *)
+let filtered_partial db schema =
+  let out = Relation.of_list schema [] in
+  Relation.iter
+    (fun tuple count ->
+      match Tuple.get tuple 2 with
+      | Value.Int tag when tag >= 1 ->
+          Relation.add out (Tuple.project tuple [ 0; 1 ]) count
+      | _ -> ())
+    (Table.contents (Database.table db "r"));
+  out
+
+(* The union of the parts [ctl]'s substitution closure would read in place
+   of source 0, without the freshness test; [None] when nothing is
+   substitutable there. *)
+let substituted_union ctl =
+  Option.bind (C.Controller.ctx ctl).C.Ctx.partial (fun lookup ->
+      Option.map
+        (fun (src : C.Ctx.source) ->
+          List.fold_left
+            (fun acc part -> Relation.union acc (Table.contents part))
+            (Relation.create (Table.schema (List.hd src.C.Ctx.tables)))
+            src.C.Ctx.tables)
+        (lookup ~peek:true 0))
+
+(* Roll every maintained part of [owner]'s partials to the present and
+   fold it into its mirror, the way a service drain would. *)
+let freshen_parts reg ~owner =
+  List.iter
+    (fun part ->
+      ignore (C.Controller.refresh_latest (C.Partial.controller part));
+      C.Partial.sync part)
+    (C.Partial.for_owner reg ~owner)
+
 (* Commit one small random transaction against the scenario's base tables:
    inserts (possibly duplicating existing tuples), deletes of existing
    tuples, and updates. Keys are drawn from a small range so joins hit. *)

@@ -1,7 +1,8 @@
-(* Higher-order delta processing: auxiliary-view derivation, substitution
-   with freshness fallback, signature dedupe across sibling views, mirror
-   sync/gc, and orphan retirement. The crash/recovery side lives in
-   test_fault.ml (aux seeds) — here everything runs in one process. *)
+(* Higher-order delta processing, the narrowing policy of derived
+   partials: auxiliary-view derivation, substitution with freshness
+   fallback, signature dedupe across sibling views, mirror sync/gc, and
+   orphan retirement. The crash/recovery side lives in test_fault.ml (aux
+   seeds) — here everything runs in one process. *)
 
 open Test_support.Helpers
 open Roll_relation
@@ -14,23 +15,23 @@ let rolling n = C.Controller.Rolling (C.Rolling.uniform n)
 let test_derive () =
   (* filtered: source 0 is narrowed by σ(tag>=1) and π{k,v} → one aux. *)
   let s = filtered () in
-  (match C.Auxiliary.derive s.view with
+  (match C.Partial.derive s.view with
   | [ d ] ->
-      Alcotest.(check int) "substituted source" 0 d.C.Auxiliary.source;
-      Alcotest.(check string) "base table" "r" d.C.Auxiliary.base;
+      Alcotest.(check int) "substituted source" 0 d.C.Partial.source;
+      Alcotest.(check string) "base table" "r" d.C.Partial.base;
       Alcotest.(check (array int)) "retained columns" [| 0; 1 |]
-        d.C.Auxiliary.cols;
-      Alcotest.(check int) "local atoms" 1 (List.length d.C.Auxiliary.local)
+        d.C.Partial.cols;
+      Alcotest.(check int) "local atoms" 1 (List.length d.C.Partial.local)
   | ds ->
       Alcotest.failf "expected exactly one derivation, got %d" (List.length ds));
   (* Full-width, unfiltered partials are refused: every source of the
      two-table and chain scenarios is read whole. *)
   let s2 = two_table () in
   Alcotest.(check int) "two_table derives none" 0
-    (List.length (C.Auxiliary.derive s2.view));
+    (List.length (C.Partial.derive s2.view));
   let s3 = three_table () in
   Alcotest.(check int) "three_table derives none" 0
-    (List.length (C.Auxiliary.derive s3.view));
+    (List.length (C.Partial.derive s3.view));
   (* Single-source views have no Base terms to substitute. *)
   let solo =
     C.View.create_select s.db ~name:"solo" ~sources:[ ("r", "r") ]
@@ -38,7 +39,7 @@ let test_derive () =
       ~select:[ ("k", Predicate.Col (Predicate.col 0 0)) ]
   in
   Alcotest.(check int) "single-source derives none" 0
-    (List.length (C.Auxiliary.derive solo))
+    (List.length (C.Partial.derive solo))
 
 (* ------------------------------------------------------------------ *)
 (* Substitution: stale auxiliaries fall back, fresh ones are probed,
@@ -51,8 +52,8 @@ let test_fallback_when_stale () =
   let ctl =
     C.Controller.create s.db s.capture s.view ~algorithm:(rolling 4)
   in
-  let reg = C.Auxiliary.create ~interval:4 s.db s.capture in
-  let entries = C.Auxiliary.attach reg ctl in
+  let reg = C.Partial.create ~interval:4 s.db s.capture in
+  let entries = C.Partial.attach reg ctl in
   Alcotest.(check int) "one auxiliary attached" 1 (List.length entries);
   let ae = List.hd entries in
   let stats = C.Controller.stats ctl in
@@ -72,10 +73,9 @@ let test_fallback_when_stale () =
      user view's forward queries for s read r as a Base term, and with r
      quiet since the sync those probes hit the mirror. (Changing r too
      would immediately re-stale the mirror — that path is covered above.) *)
-  let actl = C.Auxiliary.controller ae in
-  ignore (C.Controller.refresh_latest actl);
-  C.Auxiliary.sync ae;
-  Alcotest.(check bool) "mirror caught up" true (C.Auxiliary.fresh reg ae);
+  freshen_parts reg ~owner:"rsf";
+  Alcotest.(check bool) "mirror caught up" true
+    (List.for_all (C.Partial.fresh reg) reg.C.Partial.partials);
   let misses_before = C.Stats.aux_misses stats in
   for _ = 1 to 10 do
     ignore
@@ -92,9 +92,10 @@ let test_fallback_when_stale () =
     (C.Controller.contents ctl);
   (* The mirror itself equals the auxiliary view at its sync point. *)
   Alcotest.check relation "mirror matches oracle"
-    (C.Oracle.view_at s.history (C.Auxiliary.view ae)
-       (C.Auxiliary.mirror_as_of ae))
-    (Table.contents (C.Auxiliary.mirror ae))
+    (C.Oracle.view_at s.history
+       (C.Controller.view (C.Partial.controller ae))
+       ae.C.Partial.mirror_as_of)
+    (Table.contents ae.C.Partial.mirror)
 
 (* Auxiliaries on vs off over the same seeded update stream: bit-identical
    user-view contents at every refresh point. *)
@@ -139,11 +140,7 @@ let test_on_off_identical () =
 let test_service_dedupe_and_gc () =
   let s = filtered () in
   let svc = C.Service.create ~auxiliary:true s.db s.capture in
-  let reg =
-    match C.Service.auxiliary svc with
-    | Some r -> r
-    | None -> Alcotest.fail "auxiliary registry missing"
-  in
+  let reg = C.Service.partials svc in
   ignore (C.Service.register svc ~algorithm:(rolling 3) s.view);
   let aux_names =
     List.filter
@@ -158,10 +155,10 @@ let test_service_dedupe_and_gc () =
   let twin = clone_view s.db s.view ~name:"rsf2" in
   ignore (C.Service.register svc ~algorithm:(rolling 3) twin);
   Alcotest.(check int) "still one auxiliary after the twin" 1
-    (List.length (C.Auxiliary.entries reg));
-  let ae = List.hd (C.Auxiliary.entries reg) in
+    (List.length (C.Partial.entries reg));
+  let p = List.hd reg.C.Partial.partials in
   Alcotest.(check (list string)) "both views own it" [ "rsf"; "rsf2" ]
-    (List.sort String.compare (C.Auxiliary.owners ae));
+    (List.sort String.compare p.C.Partial.owners);
   (* Status surfaces the auxiliary row and the owners' probe counters. *)
   let st =
     List.find (fun (x : C.Service.status) -> x.C.Service.aux) (C.Service.status svc)
@@ -171,12 +168,12 @@ let test_service_dedupe_and_gc () =
      last retires it from the registry and the service. *)
   C.Service.unregister svc "rsf";
   Alcotest.(check int) "shared auxiliary survives one release" 1
-    (List.length (C.Auxiliary.entries reg));
+    (List.length (C.Partial.entries reg));
   Alcotest.(check bool) "entry still scheduled" true
     (List.mem aux_name (C.Service.names svc));
   C.Service.unregister svc "rsf2";
   Alcotest.(check int) "orphan retired from registry" 0
-    (List.length (C.Auxiliary.entries reg));
+    (List.length (C.Partial.entries reg));
   Alcotest.(check bool) "orphan retired from service" false
     (List.mem aux_name (C.Service.names svc));
   Alcotest.(check (list string)) "no entries left" [] (C.Service.names svc)
@@ -185,25 +182,25 @@ let test_mirror_gc () =
   let s = filtered () in
   let rng = Prng.create ~seed:11 in
   random_txns rng s 20;
-  let reg = C.Auxiliary.create ~interval:3 s.db s.capture in
+  let reg = C.Partial.create ~interval:3 s.db s.capture in
   let ctl =
     C.Controller.create s.db s.capture s.view ~algorithm:(rolling 3)
   in
-  let ae = List.hd (C.Auxiliary.attach reg ctl) in
-  let actl = C.Auxiliary.controller ae in
+  let ae = List.hd (C.Partial.attach reg ctl) in
+  let actl = C.Partial.controller ae in
   random_txns rng s 20;
   ignore (C.Controller.refresh_latest actl);
   (* gc syncs the mirror before pruning the delta window it reads from —
      the mirror must not lose the suffix the prune reclaims. *)
-  let pruned = C.Auxiliary.gc ae in
+  let pruned = C.Partial.gc ae in
   Alcotest.(check bool) "gc reclaimed applied rows" true (pruned > 0);
   Alcotest.(check int) "mirror synced to hwm"
     (C.Controller.hwm actl)
-    (C.Auxiliary.mirror_as_of ae);
+    ae.C.Partial.mirror_as_of;
   Alcotest.check relation "mirror survives gc"
-    (C.Oracle.view_at s.history (C.Auxiliary.view ae)
-       (C.Auxiliary.mirror_as_of ae))
-    (Table.contents (C.Auxiliary.mirror ae))
+    (C.Oracle.view_at s.history (C.Controller.view actl)
+       ae.C.Partial.mirror_as_of)
+    (Table.contents ae.C.Partial.mirror)
 
 let suite =
   [

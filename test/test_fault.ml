@@ -230,14 +230,20 @@ let test_fuzz_100_seeds () =
       (List.length points)
       (String.concat ", " points)
 
-(* The same harness over views with auxiliaries: 100 seeded runs on the
-   filtered scenario, each crashing at a random reachable site — in the
-   user controller, an auxiliary's controller, or capture — and verifying
-   that the user view, every auxiliary's contents and every rebuilt mirror
-   stay oracle-equivalent after recovery. Also asserts the fleet as a
-   whole exercised mirror substitution (not just fallback). *)
-let test_fuzz_100_seeds_aux () =
-  let points = Harness.run_seeds_aux ~txns:10 ~first:0 ~count:100 () in
+(* The same harness over views with one partial policy attached: 100
+   seeded runs on the filtered scenario per policy, each crashing at a
+   random reachable site — in the user controller, a part's controller,
+   capture or, under partitioning (whose zipf-skewed updates flip their
+   head mid-run so both promotions and demotions happen), inside the
+   [hotset.promote] and [hotset.demote] migration windows — and verifying
+   after recovery that the user view, every part's contents and mirror,
+   and the union of the parts stay oracle-exact (no tuple lost or
+   double-counted across a crashed handoff). Also asserts the fleet as a
+   whole exercised substitution (not just fallback). *)
+let test_fuzz_100_seeds_partial policy () =
+  let points =
+    Harness.run_seeds_partial policy ~txns:10 ~first:0 ~count:100 ()
+  in
   if List.length points < 5 then
     Alcotest.failf "only %d distinct crash sites exercised: %s"
       (List.length points)
@@ -249,13 +255,13 @@ let test_fuzz_100_seeds_aux () =
    with the light residual rebuilt minus the key), a demote crash lands
    {e before} the retire marker (the key must recover still heavy, and
    the in-memory fold into the light residual must die with the process —
-   no row lost or double-counted either way). The randomized hotset fuzz
-   below reaches these windows too, but only on the seeds whose uniform
-   site draw lands there; these two are deterministic. *)
+   no row lost or double-counted either way). The randomized partitioning
+   fuzz above reaches these windows too, but only on the seeds whose
+   uniform site draw lands there; these two are deterministic. *)
 
 let hot_registry s =
-  C.Hotset.create ~interval:4 ~capacity:8 ~max_heavy:3 ~enter:0.2 ~exit_:0.10
-    s.db s.capture
+  C.Hotset.create ~capacity:8 ~max_heavy:3 ~enter:0.2 ~exit_:0.10
+    (C.Partial.create ~interval:4 s.db s.capture)
 
 let skewed_inserts rng zipf s n ~key =
   for _ = 1 to n do
@@ -294,7 +300,8 @@ let test_crash_mid_promote () =
   let recovered = C.Hotset.attach ~durable:true ~recover:true reg2 ctl2 in
   Alcotest.(check int) "exactly the marked key recovers heavy" 1
     (List.length recovered);
-  Harness.check_hot 208 ~life:"promote-crash recovered" s2 ctl2 reg2;
+  Harness.check_partial 208 ~life:"promote-crash recovered" s2 ctl2
+    ~hotset:reg2 (C.Hotset.registry reg2);
   finish_and_check s2 ctl2
 
 let test_crash_mid_demote () =
@@ -312,17 +319,14 @@ let test_crash_mid_demote () =
   Capture.advance s.capture;
   let promoted, _ = C.Hotset.rebalance reg in
   Alcotest.(check bool) "skew promoted the head" true (promoted <> []);
-  let old_heavy = List.map C.Hotset.key promoted in
+  let key (part : C.Partial.part) = Option.get part.C.Partial.key in
+  let old_heavy = List.map key promoted in
   (* Flood the tail so every head key's share collapses below exit, then
      crash inside the first demotion — after its fold into the light
      residual, before its retire marker. *)
   skewed_inserts rng zipf s 2000 ~key:(Some (fun () -> 4 + Prng.int rng 4));
   Capture.advance s.capture;
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg ~owner:"rsf");
+  freshen_parts (C.Hotset.registry reg) ~owner:"rsf";
   C.Hotset.set_fault reg (Fault.crash_at "hotset.demote" ~hit:1);
   (try
      ignore (C.Hotset.rebalance reg);
@@ -336,7 +340,7 @@ let test_crash_mid_demote () =
   in
   let reg2 = hot_registry s2 in
   let recovered = C.Hotset.attach ~durable:true ~recover:true reg2 ctl2 in
-  let recovered_keys = List.map C.Hotset.key recovered in
+  let recovered_keys = List.map key recovered in
   List.iter
     (fun k ->
       Alcotest.(check bool)
@@ -344,35 +348,18 @@ let test_crash_mid_demote () =
         true
         (List.mem k recovered_keys))
     old_heavy;
-  Harness.check_hot 209 ~life:"demote-crash recovered" s2 ctl2 reg2;
+  Harness.check_partial 209 ~life:"demote-crash recovered" s2 ctl2
+    ~hotset:reg2 (C.Hotset.registry reg2);
   (* The interrupted migration completes cleanly on the recovered state:
      the re-seeded sketch still reads the head below exit. *)
   Capture.advance s2.capture;
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg2 ~owner:"rsf");
+  freshen_parts (C.Hotset.registry reg2) ~owner:"rsf";
   let _, demoted = C.Hotset.rebalance reg2 in
   Alcotest.(check bool) "interrupted demotion completes after recovery" true
     (demoted <> []);
-  Harness.check_hot 209 ~life:"demote completed" s2 ctl2 reg2;
+  Harness.check_partial 209 ~life:"demote completed" s2 ctl2 ~hotset:reg2
+    (C.Hotset.registry reg2);
   finish_and_check s2 ctl2
-
-(* The same harness over views with a hotset attached: 100 seeded runs on
-   the filtered scenario with zipf-skewed updates (head flipped mid-run so
-   both promotions and demotions happen), crashing at a random reachable
-   site — including inside the [hotset.promote] and [hotset.demote]
-   migration windows — and verifying after recovery that the user view is
-   oracle-equivalent and that the light ⊎ heavy union is exactly the
-   partitioned partial (no tuple lost or double-counted across the
-   crashed handoff). *)
-let test_fuzz_100_seeds_hotset () =
-  let points = Harness.run_seeds_hotset ~txns:10 ~first:0 ~count:100 () in
-  if List.length points < 5 then
-    Alcotest.failf "only %d distinct crash sites exercised: %s"
-      (List.length points)
-      (String.concat ", " points)
 
 let suite =
   [
@@ -391,11 +378,11 @@ let suite =
     Alcotest.test_case "fuzz: 100 seeded crash-recovery runs" `Quick
       test_fuzz_100_seeds;
     Alcotest.test_case "fuzz: 100 seeded aux crash-recovery runs" `Quick
-      test_fuzz_100_seeds_aux;
+      (test_fuzz_100_seeds_partial Harness.Narrowing);
     Alcotest.test_case "crash mid-promotion handoff" `Quick
       test_crash_mid_promote;
     Alcotest.test_case "crash mid-demotion handoff" `Quick
       test_crash_mid_demote;
     Alcotest.test_case "fuzz: 100 seeded hotset crash-recovery runs" `Quick
-      test_fuzz_100_seeds_hotset;
+      (test_fuzz_100_seeds_partial Harness.Partitioning);
   ]

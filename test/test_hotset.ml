@@ -88,7 +88,7 @@ let test_attach_seeds () =
   let rng = Prng.create ~seed:5 in
   random_txns rng s 20;
   let ctl = C.Controller.create s.db s.capture s.view ~algorithm:(rolling 4) in
-  let reg = C.Hotset.create ~interval:4 s.db s.capture in
+  let reg = C.Hotset.create (C.Partial.create ~interval:4 s.db s.capture) in
   let recovered = C.Hotset.attach reg ctl in
   Alcotest.(check int) "no heavy keys recovered cold" 0
     (List.length recovered);
@@ -107,7 +107,7 @@ let test_attach_seeds () =
   let ctl3 =
     C.Controller.create s3.db s3.capture s3.view ~algorithm:(rolling 4)
   in
-  let reg3 = C.Hotset.create ~interval:4 s3.db s3.capture in
+  let reg3 = C.Hotset.create (C.Partial.create ~interval:4 s3.db s3.capture) in
   ignore (C.Hotset.attach reg3 ctl3);
   Alcotest.(check (list (pair string int))) "most-joined source wins"
     [ ("b", 0) ]
@@ -130,33 +130,10 @@ let test_attach_seeds () =
 (* Migration exactness: light ⊎ heavy is the partial, before and after
    every promotion and demotion.                                        *)
 
-(* The expected partial for the filtered scenario: π_{k,v}(σ_{tag>=1}(r)),
-   computed straight from the table contents. *)
-let expected_partial db schema =
-  let r = Database.table db "r" in
-  let out = Relation.of_list schema [] in
-  Relation.iter
-    (fun tuple count ->
-      match Tuple.get tuple 2 with
-      | Value.Int tag when tag >= 1 ->
-          Relation.add out (Tuple.project tuple [ 0; 1 ]) count
-      | _ -> ())
-    (Table.contents r);
-  out
-
 let union_of_parts ctl =
-  match (C.Controller.ctx ctl).C.Ctx.hot with
-  | None -> Alcotest.fail "substitution closure not installed"
-  | Some lookup -> (
-      match lookup ~peek:true 0 with
-      | None -> Alcotest.fail "no parts for the partitioned source"
-      | Some h ->
-          List.fold_left
-            (fun acc part -> Relation.union acc (Table.contents part))
-            (Relation.of_list
-               (Table.schema (List.hd h.C.Ctx.parts))
-               [])
-            h.C.Ctx.parts)
+  match substituted_union ctl with
+  | Some union -> union
+  | None -> Alcotest.fail "no parts for the partitioned source"
 
 let skewed_insert rng zipf db =
   ignore
@@ -173,8 +150,8 @@ let test_migration_exactness () =
   (* A small sketch with a high enter share so only the dominant keys
      promote, leaving a non-trivial light residual. *)
   let reg =
-    C.Hotset.create ~interval:4 ~capacity:8 ~max_heavy:3 ~enter:0.2
-      ~exit_:0.10 s.db s.capture
+    C.Hotset.create ~capacity:8 ~max_heavy:3 ~enter:0.2 ~exit_:0.10
+      (C.Partial.create ~interval:4 s.db s.capture)
   in
   ignore (C.Hotset.attach reg ctl);
   (* Skew the stream hard toward the zipf head, then migrate. *)
@@ -189,29 +166,22 @@ let test_migration_exactness () =
   Alcotest.(check int) "census agrees"
     (List.length promoted)
     (C.Hotset.heavy_count reg ~owner:"rsf");
-  let schema =
-    match (C.Controller.ctx ctl).C.Ctx.hot with
-    | Some lookup -> (
-        match lookup ~peek:true 0 with
-        | Some h -> Table.schema (List.hd h.C.Ctx.parts)
-        | None -> Alcotest.fail "no parts")
-    | None -> Alcotest.fail "no closure"
-  in
+  let schema = Relation.schema (union_of_parts ctl) in
   Alcotest.check relation "light ⊎ heavy = partial after promotion"
-    (expected_partial s.db schema)
+    (filtered_partial s.db schema)
     (union_of_parts ctl);
   (* Heavy mirrors hold only their key's rows; the light residual holds
      none of the heavy keys — the partition is disjoint. *)
   List.iter
-    (fun he ->
-      let k = C.Hotset.key he in
+    (fun (part : C.Partial.part) ->
+      let k = Option.get part.C.Partial.key in
       Relation.iter
         (fun tuple _ ->
           match Tuple.get tuple 0 with
           | Value.Int k' ->
               Alcotest.(check int) "heavy mirror keyed correctly" k k'
           | _ -> Alcotest.fail "non-int key")
-        (Table.contents (C.Hotset.mirror he)))
+        (Table.contents part.C.Partial.mirror))
     promoted;
   (* Keep rolling: more skewed change, maintain the heavy partials the
      way the service would, then rebalance again — still exact. *)
@@ -219,22 +189,15 @@ let test_migration_exactness () =
     skewed_insert rng zipf s.db
   done;
   Capture.advance s.capture;
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg ~owner:"rsf");
+  freshen_parts (C.Hotset.registry reg) ~owner:"rsf";
   let _, _ = C.Hotset.rebalance reg in
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg ~owner:"rsf");
+  freshen_parts (C.Hotset.registry reg) ~owner:"rsf";
   Alcotest.check relation "still exact after further maintenance"
-    (expected_partial s.db schema)
+    (filtered_partial s.db schema)
     (union_of_parts ctl);
   Alcotest.(check bool) "parts provably substitutable" true
-    (C.Hotset.fresh_for reg ~owner:"rsf");
+    (let r = C.Hotset.registry reg in
+     List.for_all (C.Partial.fresh r) r.C.Partial.partials);
   (* Now flood the tail keys so the head's share collapses below exit:
      the demotion must fold every heavy row back into the light residual
      exactly once. *)
@@ -253,33 +216,28 @@ let test_migration_exactness () =
   let deferred, _ = C.Hotset.rebalance reg in
   Alcotest.(check int) "stale group defers migration" 0
     (List.length deferred);
-  List.iter
-    (fun he ->
-      ignore (C.Controller.refresh_latest (C.Hotset.controller he));
-      C.Hotset.sync he)
-    (C.Hotset.for_owner reg ~owner:"rsf");
+  freshen_parts (C.Hotset.registry reg) ~owner:"rsf";
   let promoted2, demoted = C.Hotset.rebalance reg in
   Alcotest.(check bool) "flood demoted a key" true (List.length demoted > 0);
   Alcotest.(check int) "census tracks the migration"
     (before - List.length demoted + List.length promoted2)
     (C.Hotset.heavy_count reg ~owner:"rsf");
   Alcotest.check relation "light ⊎ heavy = partial after demotion"
-    (expected_partial s.db schema)
+    (filtered_partial s.db schema)
     (union_of_parts ctl)
 
 (* ------------------------------------------------------------------ *)
 (* Hotset on vs off over the same seeded skewed stream: bit-identical
-   user-view contents at every refresh point, and the heavy path fired. *)
+   user-view contents at every refresh point, and the heavy path fired.
+   A third run stacks auxiliaries on top: the filtered scenario's
+   partitioned source r is also narrowed, and the auxiliary takes
+   precedence there, so every substitution is an auxiliary hit.        *)
 
 let test_on_off_identical () =
-  let drive ~hotset =
+  let drive ~auxiliary ~hotset =
     let s = filtered () in
-    (* Pin auxiliaries off: the executor substitutes a fresh auxiliary
-       mirror ahead of the hot partition, so under ROLL_AUX=1 the aux
-       path would intercept every Base term and the hot-hits assertion
-       below would be vacuous. *)
     let svc =
-      C.Service.create ~hotset ~auxiliary:false ~default_sla:500 s.db s.capture
+      C.Service.create ~hotset ~auxiliary ~default_sla:500 s.db s.capture
     in
     let ctl = C.Service.register svc ~algorithm:(rolling 3) s.view in
     let rng = Prng.create ~seed:23 in
@@ -292,9 +250,9 @@ let test_on_off_identical () =
       done;
       (* Two drains per round: the first catches capture up, the second
          starts at a quiet point where the registry can migrate keys. The
-         budget leaves room for the heavy partials' own steps — the hot
-         band freshens them ahead of the user view, so the user steps
-         probe fresh parts. *)
+         budget leaves room for the heavy partials' own steps — the
+         partial band freshens them ahead of the user view, so the user
+         steps probe fresh parts. *)
       ignore (C.Service.step_all svc ~budget:50);
       ignore (C.Service.step_all svc ~budget:50);
       C.Service.refresh_all svc;
@@ -307,18 +265,27 @@ let test_on_off_identical () =
       final;
     (C.Controller.stats ctl, List.rev (final :: !snaps))
   in
-  let stats_on, on = drive ~hotset:true in
-  let _, off = drive ~hotset:false in
-  Alcotest.(check int) "same number of snapshots" (List.length off)
-    (List.length on);
-  List.iteri
-    (fun i (a, b) ->
-      Alcotest.check relation
-        (Printf.sprintf "snapshot %d identical hotset on vs off" i)
-        b a)
-    (List.combine on off);
+  let _, off = drive ~auxiliary:false ~hotset:false in
+  let identical label on =
+    Alcotest.(check int) "same number of snapshots" (List.length off)
+      (List.length on);
+    List.iteri
+      (fun i (a, b) ->
+        Alcotest.check relation
+          (Printf.sprintf "snapshot %d identical %s vs off" i label)
+          b a)
+      (List.combine on off)
+  in
+  let hot, on = drive ~auxiliary:false ~hotset:true in
+  identical "hotset on" on;
   Alcotest.(check bool) "heavy-light substitution actually fired" true
-    (C.Stats.hot_hits stats_on > 0)
+    (C.Stats.hot_hits hot > 0);
+  let both, on = drive ~auxiliary:true ~hotset:true in
+  identical "auxiliaries + hotset" on;
+  Alcotest.(check bool) "auxiliary substitution fired" true
+    (C.Stats.aux_hits both > 0);
+  Alcotest.(check int) "the auxiliary takes precedence over the partition" 0
+    (C.Stats.hot_hits both)
 
 (* ------------------------------------------------------------------ *)
 (* Service integration: dedupe across siblings, guarded unregister,
@@ -331,7 +298,7 @@ let test_service_dedupe_and_orphans () =
   let svc = C.Service.create ~hotset:true ~default_sla:500 s.db s.capture in
   let reg =
     match C.Service.hotset svc with
-    | Some r -> r
+    | Some h -> h
     | None -> Alcotest.fail "hotset registry missing"
   in
   ignore (C.Service.register svc ~algorithm:(rolling 3) s.view);
@@ -352,7 +319,12 @@ let test_service_dedupe_and_orphans () =
   done;
   Alcotest.(check bool) "keys promoted under service drains" true
     (C.Hotset.heavy_count reg ~owner:"rsf" > 0);
-  let heavy_names = List.map C.Hotset.name (C.Hotset.entries reg) in
+  let heavy_names =
+    List.filter_map
+      (fun (part : C.Partial.part) ->
+        Option.map (fun _ -> C.Partial.name part) part.C.Partial.key)
+      (C.Partial.entries (C.Service.partials svc))
+  in
   List.iter
     (fun n ->
       Alcotest.(check bool)
@@ -361,17 +333,33 @@ let test_service_dedupe_and_orphans () =
         (List.mem n (C.Service.names svc)))
     heavy_names;
   (* Status surfaces heavy-partial rows and the owner's census. *)
-  let st =
+  let status_of n =
     List.find
-      (fun (x : C.Service.status) -> String.equal x.C.Service.name "rsf")
+      (fun (x : C.Service.status) -> String.equal x.C.Service.name n)
       (C.Service.status svc)
   in
+  let st = status_of "rsf" in
   Alcotest.(check int) "status heavy census"
     (C.Hotset.heavy_count reg ~owner:"rsf")
     st.C.Service.heavy_keys;
   Alcotest.(check int) "status light census"
     (C.Hotset.light_rows reg ~owner:"rsf")
     st.C.Service.light_rows;
+  (* More change with no drain leaves the heavy partials' mirrors behind
+     the clock: each reports its lag, and the owner the worst lag across
+     every part of its partials. *)
+  for _ = 1 to 5 do
+    skewed_insert rng zipf s.db
+  done;
+  let heavy_lag =
+    List.fold_left
+      (fun acc n -> max acc (status_of n).C.Service.aux_lag)
+      0 heavy_names
+  in
+  Alcotest.(check bool) "lagging heavy partial reports its lag" true
+    (heavy_lag > 0);
+  Alcotest.(check bool) "owner reports its worst part lag" true
+    ((status_of "rsf").C.Service.aux_lag >= heavy_lag);
   (* Heavy partials cannot be unregistered directly. *)
   (match heavy_names with
   | n :: _ ->
@@ -388,7 +376,7 @@ let test_service_dedupe_and_orphans () =
     (C.Hotset.heavy_count reg ~owner:"rsf2" > 0);
   C.Service.unregister svc "rsf2";
   Alcotest.(check int) "orphan group retired" 0
-    (List.length (C.Hotset.entries reg));
+    (List.length (C.Partial.entries (C.Service.partials svc)));
   Alcotest.(check (list string)) "no entries left" [] (C.Service.names svc)
 
 let suite =

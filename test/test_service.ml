@@ -115,6 +115,36 @@ let test_unknown_view () =
   Alcotest.check_raises "unknown view" Not_found (fun () ->
       ignore (C.Service.controller service "nope"))
 
+(* ROLL_DOMAINS: unset or empty means a serial drain (None); a positive
+   count sizes the pool; anything else is rejected loudly instead of
+   silently falling back to serial. The variable is restored afterwards
+   (to empty when it was unset: the same meaning). *)
+let test_env_domains () =
+  let saved = Sys.getenv_opt "ROLL_DOMAINS" in
+  let with_env v f =
+    Unix.putenv "ROLL_DOMAINS" v;
+    f ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "ROLL_DOMAINS" (Option.value saved ~default:""))
+    (fun () ->
+      with_env "" (fun () ->
+          Alcotest.(check (option int)) "empty is serial" None
+            (C.Service.env_domains ()));
+      with_env " 3 " (fun () ->
+          Alcotest.(check (option int)) "positive count" (Some 3)
+            (C.Service.env_domains ()));
+      List.iter
+        (fun v ->
+          with_env v (fun () ->
+              Alcotest.check_raises ("rejects " ^ v)
+                (Invalid_argument
+                   (Printf.sprintf
+                      "ROLL_DOMAINS=%S: expected a positive domain count" v))
+                (fun () -> ignore (C.Service.env_domains ()))))
+        [ "0"; "-2"; "four" ])
+
 let suite =
   [
     Alcotest.test_case "register and names" `Quick test_register_and_names;
@@ -124,4 +154,5 @@ let suite =
     Alcotest.test_case "step budget" `Quick test_step_budget;
     Alcotest.test_case "gc_all" `Quick test_gc_all;
     Alcotest.test_case "unknown view" `Quick test_unknown_view;
+    Alcotest.test_case "ROLL_DOMAINS parsing" `Quick test_env_domains;
   ]
