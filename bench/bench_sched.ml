@@ -6,7 +6,7 @@
    A second axis measures multicore drain throughput: the same star
    workload drained through worker-domain pools of 1, 2 and 4 domains,
    with every parallel run's final view contents checked bit-identical to
-   a serial reference drain. Each point reports both the measured wall
+   a one-slot reference drain. Each point reports both the measured wall
    clock (meaningful only when the host actually has spare cores — the
    JSON records [cores] so readers can tell) and a DES-modeled drain time
    driven by the run's measured query footprints, the same contention
@@ -46,7 +46,7 @@ type domains_point = {
   throughput : float;  (* steps per wall second, measured *)
   des_makespan : float;  (* DES-modeled drain time on [domains] lanes *)
   des_throughput : float;  (* steps per DES-modeled second *)
-  identical : bool;  (* contents bit-identical to the serial reference *)
+  identical : bool;  (* contents bit-identical to the one-slot reference *)
 }
 
 (* One view per dimension, fact ⋈ dim_i. Registrations are staggered by
@@ -85,8 +85,8 @@ let star_sub_view star ~name ~dim =
   C.View.create db ~name ~sources ~predicate
     ~project:[ bind "f" "measure"; bind "d" "attr" ]
 
-(* Build the workload, drain it (serial when [domains] is [None], through
-   a pool otherwise), and return steps, wall seconds, the final contents
+(* Build the workload, drain it (one slot when [domains] is [None], through
+   a wider pool otherwise), and return steps, wall seconds, the final contents
    of every view at the last data commit, and the measured per-query
    footprints tagged with their view, in serialization order. *)
 let run_star_drain ~domains =

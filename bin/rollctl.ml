@@ -139,7 +139,7 @@ let coverage_term =
 (* --- status (multi-view service demo) --- *)
 
 (* [--domains N] on status/schedule: explicit flag wins, then the
-   ROLL_DOMAINS environment variable, else serial. *)
+   ROLL_DOMAINS environment variable, else 1. *)
 let resolve_domains = function
   | Some n -> Some n
   | None -> C.Service.env_domains ()
@@ -151,7 +151,7 @@ let domains_term =
     & info [ "domains" ]
         ~doc:
           "drain through a pool of $(docv) worker domains (default: \
-           ROLL_DOMAINS, else serial)"
+           ROLL_DOMAINS, else 1)"
         ~docv:"N")
 
 let print_domain_tables service =

@@ -145,8 +145,9 @@ let lag t = Wal.length (Database.wal t.db) - t.cursor
    auxiliary-view substitution in the executor) need to know whether the
    table changed *at all* since a point in time; the delta only answers for
    the captured prefix, this answers for the rest. The cursor is usually at
-   the log's end (capture advances before every serial query, and waves
-   advance it before freezing), so the common case inspects zero records. *)
+   the log's end (capture advances before every plain query, and drains
+   advance it ahead of any step whose window it does not cover yet), so
+   the common case inspects zero records. *)
 let pending_changes t ~table =
   let wal = Database.wal t.db in
   let stop = Wal.length wal in

@@ -168,18 +168,24 @@ let propagate_step_body t =
   if advanced && t.durable && Database.now db > before then record_frontier t;
   advanced
 
-let propagate_step t =
+(* One ["propagate.step"] span per step, for plain and window steps
+   alike. *)
+let traced_step t ~advanced body =
   if Roll_obs.Obs.tracing t.ctx.Ctx.obs then begin
     let trace = Roll_obs.Obs.trace t.ctx.Ctx.obs in
     Roll_obs.Trace.with_span trace
       ~attrs:[ ("view", Roll_obs.Trace.Str (View.name t.ctx.Ctx.view)) ]
       "propagate.step"
       (fun () ->
-        let advanced = propagate_step_body t in
-        Roll_obs.Trace.add_attr trace "advanced" (Roll_obs.Trace.Bool advanced);
-        advanced)
+        let result = body () in
+        Roll_obs.Trace.add_attr trace "advanced"
+          (Roll_obs.Trace.Bool (advanced result));
+        result)
   end
-  else propagate_step_body t
+  else body ()
+
+let propagate_step t =
+  traced_step t ~advanced:Fun.id (fun () -> propagate_step_body t)
 
 let propagate_until t target =
   if t.durable then begin
@@ -399,52 +405,55 @@ let checkpoint t path =
 (* ------------------------------------------------------------------ *)
 (* Reliable stepping                                                   *)
 
-let propagate_step_reliable t ~retry ~sleep =
-  let stats = t.ctx.Ctx.stats in
-  let mark = Delta.length t.ctx.Ctx.out in
-  let memo_mark = Memo.mark t.ctx.Ctx.memo in
+(* Run one step under a retry policy. A failed attempt aborts its
+   transaction: its partial brick is truncated from the view delta and its
+   memo fills are evicted — served to a sibling view (or to the re-run)
+   they would replay rows that never committed. Eviction is scoped to this
+   context's owner slot, so sibling wave steps' concurrent fills survive.
+   Frontiers need no restore: every injection point fires before the
+   frontier advances (the post-success undo path is {!undo_window}). *)
+let reliably t ~what ~retry ~sleep run =
+  let ctx = t.ctx in
+  let stats = ctx.Ctx.stats in
+  let mark = Delta.length ctx.Ctx.out in
+  let memo_mark = Memo.mark ctx.Ctx.memo in
   let retried = ref false in
   let rollback () =
-    Delta.truncate t.ctx.Ctx.out mark;
-    (* Memo entries filled by the aborted attempt hold slices of the rows
-       the truncate just dropped; served to a sibling view (or to this
-       view's re-run) they would replay a transaction that never committed.
-       Maintenance is single-threaded, so everything memoized past the mark
-       belongs to the failed step. *)
-    Memo.evict_since t.ctx.Ctx.memo memo_mark
+    Delta.truncate ctx.Ctx.out mark;
+    Memo.evict_since ctx.Ctx.memo ~owner:ctx.Ctx.memo_owner memo_mark
   in
   let result =
     Retry.run retry ~sleep
       ~on_retry:(fun ~attempt:_ ~delay:_ ->
         retried := true;
         Stats.incr_retries stats;
-        (* Abort the failed attempt's transaction: drop the partial brick
-           it emitted, so the re-run starts from a clean view delta. The
-           process frontiers are untouched — every injection point in
-           [Propagate] and [Rolling] fires before the frontier advances. *)
         rollback ())
-      (fun () -> propagate_step t)
+      run
   in
   match result with
-  | Ok advanced ->
+  | Ok _ ->
       if !retried then Stats.incr_recoveries stats;
-      Ok advanced
+      result
   | Error failure ->
       rollback ();
       Stats.incr_aborts stats;
       Log.err (fun m ->
-          m "view %s: propagation step aborted at %s (hit %d) after %d attempts"
-            (View.name t.ctx.Ctx.view) failure.Retry.point failure.Retry.hit
-            failure.Retry.attempts);
-      Error failure
+          m "view %s: %s aborted at %s (hit %d) after %d attempts"
+            (View.name ctx.Ctx.view) what failure.Retry.point
+            failure.Retry.hit failure.Retry.attempts);
+      result
+
+let propagate_step_reliable t ~retry ~sleep =
+  reliably t ~what:"propagation step" ~retry ~sleep (fun () ->
+      propagate_step t)
 
 (* ------------------------------------------------------------------ *)
 (* Window stepping (parallel waves)                                    *)
 
 (* Only rolling processes (including Adaptive, which is a policy over
    P_rolling) decompose into per-relation window steps with explicit
-   bounds; Uniform and Deferred keep their own pacing and stay on the
-   serial path. *)
+   bounds; Uniform and Deferred keep their own pacing and take plain
+   steps. *)
 let supports_window_step t =
   match t.process with
   | P_rolling _ -> true
@@ -470,65 +479,25 @@ let step_window_body t ~relation ~hi ~frozen =
         | `Idle -> false)
   in
   (* Whether the step physically ran a query (vs. a quiet-window advance):
-     the frozen-mode analogue of the serial path's "did the database clock
+     the frozen-mode analogue of the plain step's "did the database clock
      move" test, which is meaningless here because frozen steps never
      commit markers. *)
   let executed = Stats.queries ctx.Ctx.stats > queries_before in
   (advanced, executed)
 
 let step_window t ~relation ~hi ~frozen =
-  if Roll_obs.Obs.tracing t.ctx.Ctx.obs then begin
-    let trace = Roll_obs.Obs.trace t.ctx.Ctx.obs in
-    Roll_obs.Trace.with_span trace
-      ~attrs:[ ("view", Roll_obs.Trace.Str (View.name t.ctx.Ctx.view)) ]
-      "propagate.step"
-      (fun () ->
-        let ((advanced, _) as res) = step_window_body t ~relation ~hi ~frozen in
-        Roll_obs.Trace.add_attr trace "advanced" (Roll_obs.Trace.Bool advanced);
-        res)
-  end
-  else step_window_body t ~relation ~hi ~frozen
+  traced_step t ~advanced:fst (fun () ->
+      step_window_body t ~relation ~hi ~frozen)
 
 let step_window_reliable t ~relation ~hi ~frozen ~retry ~sleep =
-  let stats = t.ctx.Ctx.stats in
-  let mark = Delta.length t.ctx.Ctx.out in
-  let memo_mark = Memo.mark t.ctx.Ctx.memo in
-  let retried = ref false in
-  let rollback () =
-    Delta.truncate t.ctx.Ctx.out mark;
-    (* Owner-scoped eviction: sibling wave items may be filling the memo
-       concurrently, and their entries past the mark are valid — only this
-       step's own fills replay rows the truncate just dropped. Fault
-       injection fires before the frontier advances, so [tfwd] needs no
-       restore here (the post-success undo path is {!undo_window}). *)
-    Memo.evict_since ~owner:t.ctx.Ctx.memo_owner t.ctx.Ctx.memo memo_mark
-  in
-  let result =
-    Retry.run retry ~sleep
-      ~on_retry:(fun ~attempt:_ ~delay:_ ->
-        retried := true;
-        Stats.incr_retries stats;
-        rollback ())
-      (fun () -> step_window t ~relation ~hi ~frozen)
-  in
-  match result with
-  | Ok _ as ok ->
-      if !retried then Stats.incr_recoveries stats;
-      ok
-  | Error failure ->
-      rollback ();
-      Stats.incr_aborts stats;
-      Log.err (fun m ->
-          m "view %s: window step aborted at %s (hit %d) after %d attempts"
-            (View.name t.ctx.Ctx.view) failure.Retry.point failure.Retry.hit
-            failure.Retry.attempts);
-      Error failure
+  reliably t ~what:"window step" ~retry ~sleep (fun () ->
+      step_window t ~relation ~hi ~frozen)
 
 (* Post-join bookkeeping for a wave item that succeeded, run on the drain
    domain in wave order: the frozen-mode counterpart of
    [propagate_step_body]'s marker rule. Quiet advances record no marker
-   (they replay deterministically on recovery), mirroring the serial
-   "clock did not move" test. *)
+   (they replay deterministically on recovery), mirroring the plain
+   step's "clock did not move" test. *)
 let note_step_durable t ~advanced ~executed =
   if advanced && t.durable && executed then record_frontier t
 
@@ -538,7 +507,7 @@ let note_step_durable t ~advanced ~executed =
    domain after every worker has joined. *)
 let undo_window t ~relation ~lo ~out_mark ~memo_mark ~owner =
   Delta.truncate t.ctx.Ctx.out out_mark;
-  Memo.evict_since ~owner t.ctx.Ctx.memo memo_mark;
+  Memo.evict_since t.ctx.Ctx.memo ~owner memo_mark;
   Rolling.set_tfwd (rolling_exn t) relation lo
 
 (* ------------------------------------------------------------------ *)

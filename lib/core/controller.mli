@@ -141,13 +141,16 @@ val propagate_step_reliable :
     counting a retry in {!stats}; eventual success after retries counts a
     recovery. Exhausting the budget rolls back, counts an abort and
     returns the typed failure. Other exceptions (including
-    {!Roll_util.Fault.Crash}) propagate. *)
+    {!Roll_util.Fault.Crash}) propagate. Memo eviction on rollback is
+    scoped to the context's {!Ctx.memo_owner}, as for
+    {!step_window_reliable}. *)
 
-(** {2 Window stepping (parallel waves)}
+(** {2 Window stepping (waves)}
 
-    A wave runs several propagation steps concurrently, one per worker
-    domain, each with an {e explicit} window chosen on the drain domain so
-    that the wave's windows are pairwise disjoint. The steps execute in
+    Every service drain runs rolling-family steps in waves: chains of
+    steps, one chain per pool slot and the slots concurrently, each step
+    with an {e explicit} window chosen on the drain domain so that the
+    slots' windows are pairwise disjoint. The steps execute in
     frozen-clock mode ({!Ctx.frozen_exec}): no capture advance, no marker
     commits — every database write a step performs goes to its own view
     delta, so concurrent steps never touch shared mutable state except the
@@ -158,7 +161,8 @@ val propagate_step_reliable :
 val supports_window_step : t -> bool
 (** Whether this controller's process decomposes into explicit-window
     steps — true exactly for the rolling family ([Rolling]/[Adaptive]);
-    [Uniform] and [Deferred] keep their own pacing and stay serial. *)
+    [Uniform] and [Deferred] keep their own pacing and take plain
+    {!propagate_step}s. *)
 
 val step_window :
   t ->
@@ -195,7 +199,7 @@ val note_step_durable : t -> advanced:bool -> executed:bool -> unit
     on the drain domain in wave order: records a frontier marker iff the
     step advanced, the controller is durable, and a physical query ran
     (quiet advances replay deterministically on recovery — same rule as
-    the serial path's "clock moved" test). *)
+    {!propagate_step}'s "clock moved" test). *)
 
 val undo_window :
   t ->
@@ -208,8 +212,8 @@ val undo_window :
 (** Undo a wave item that completed but is ordered {e after} a failed item
     of the same wave: truncate its emitted view-delta rows back to
     [out_mark], evict its owner's memo fills past [memo_mark], and restore
-    [tfwd relation] to [lo]. Wave failure semantics match the serial
-    drain: the earliest failure wins and nothing after it happened. *)
+    [tfwd relation] to [lo]. The earliest failure in wave order wins and
+    nothing after it happened. *)
 
 val propagate_until : t -> Roll_delta.Time.t -> unit
 (** Run propagation steps until [hwm] reaches the target (which must have

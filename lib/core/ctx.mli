@@ -82,9 +82,10 @@ type t = {
           runs steps on worker domains without touching the single-writer
           database clock. [None] (the default) is the ordinary path. *)
   mutable memo_owner : int;
-      (** Work-item slot tag passed to {!Memo.add} for entries this context
-          inserts, so a parallel rollback can evict exactly one step's
-          entries ({!Memo.evict_since}). 0 (the default) outside waves. *)
+      (** Work-item tag passed to {!Memo.add} for entries this context
+          inserts, so a rollback can evict exactly one step's entries
+          ({!Memo.evict_since}): the context's position in the last wave
+          that ran it, 0 before any. *)
   mutable partial : (peek:bool -> int -> source option) option;
       (** Partial substitution closure, installed by the {!Partial}
           registry: called with a source position whenever a query term

@@ -185,7 +185,9 @@ let pump t =
   List.iter
     (fun (p : Partial.t) ->
       match p.Partial.policy with
-      | Partial.Partitioning pt -> pt.Partial.pump ()
+      | Partial.Partitioning pt ->
+          pt.Partial.pump ();
+          List.iter Partial.sync p.Partial.parts
       | Partial.Narrowing -> ())
     t.reg.Partial.partials
 

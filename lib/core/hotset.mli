@@ -75,7 +75,10 @@ val attach :
 val pump : t -> unit
 (** Fold capture-delta suffixes into every group's sketch and light
     residual (heavy keys' rows are skipped — their controllers maintain
-    them). O(new change); a no-op when nothing new was captured. *)
+    them) and sync every heavy part's mirror to its controller. O(new
+    change); a no-op when nothing new was captured or applied. Probes
+    never pump: the service drain calls this on the single writer before
+    each wave. *)
 
 val rebalance : t -> Partial.part list * Partial.part list
 (** {!pump}, then reclassify each group's keys and migrate: returns

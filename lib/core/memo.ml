@@ -100,21 +100,18 @@ let add ?(owner = 0) t key rows =
 
 let mark t = Atomic.get t.seq
 
-(* Drop every entry added after [mark] — restricted to [owner]'s entries
-   when given. The serial drain evicts unscoped (everything past the mark
-   belongs to the step being rolled back); a parallel wave scopes eviction
-   to the failing step's owner slot so sibling steps' concurrent fills
-   survive. The build cache stays — its entries are content-addressed and
-   unaffected by step aborts. *)
-let evict_since ?owner t mark =
-  let evicts own = match owner with None -> true | Some o -> o = own in
+(* Drop every entry [owner] added after [mark]. Owners are unique within
+   a wave, so a rollback evicts exactly one step's fills and sibling steps'
+   concurrent fills survive. The build cache stays — its entries are
+   content-addressed and unaffected by step aborts. *)
+let evict_since t ~owner mark =
   Array.iter
     (fun sh ->
       locked sh (fun () ->
           sh.log <-
             List.filter
               (fun (seq, own, key) ->
-                if seq > mark && evicts own then begin
+                if seq > mark && own = owner then begin
                   (match Tbl.find_opt sh.entries key with
                   | Some (_, s, _) when s = seq -> Tbl.remove sh.entries key
                   | _ -> ());

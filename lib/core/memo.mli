@@ -61,14 +61,12 @@ val mark : t -> int
 (** Current insertion sequence; pair with {!evict_since} around a step so
     a rollback can drop exactly the entries the step produced. *)
 
-val evict_since : ?owner:int -> t -> int -> unit
-(** Drop every entry added after the given {!mark} — the retry-rollback
-    companion to [Delta.truncate]: a re-run step must recompute, not
-    replay rows the rollback just discarded. With [owner], only that
-    slot's entries are dropped (parallel waves roll back one step without
-    disturbing sibling steps' concurrent fills); without, everything past
-    the mark goes (the serial drain, where all of it belongs to the failed
-    step). *)
+val evict_since : t -> owner:int -> int -> unit
+(** Drop every entry [owner] added after the given {!mark} — the
+    retry-rollback companion to [Delta.truncate]: a re-run step must
+    recompute, not replay rows the rollback just discarded. Scoping to
+    the owner lets a wave roll back one step without disturbing sibling
+    steps' concurrent fills. *)
 
 val clear : t -> unit
 (** Drop all entries and clear the build cache (drain-scoped

@@ -342,16 +342,9 @@ let probe reg (ctx : Ctx.t) p ~peek =
     in
     if peek then Some (source ())
     else begin
-      (* Keep a partition's cheap parts honest before testing freshness:
-         pump the light residual forward and fold any applied heavy
-         deltas. Mutating mirrors is single-writer work, so frozen-clock
-         (wave worker) executions skip it — the drain pumped before
-         dispatching the wave. *)
-      (match p.policy with
-      | Partitioning pt when ctx.Ctx.frozen_exec = None ->
-          pt.pump ();
-          List.iter sync p.parts
-      | Narrowing | Partitioning _ -> ());
+      (* A probe never mutates: probes run on wave workers, so keeping a
+         partition's light residual pumped and its parts synced is the
+         drain's single-writer work before each wave (Hotset.pump). *)
       let hit = fresh reg p in
       count ctx.Ctx.stats p.policy hit;
       if hit then Some (source ()) else None

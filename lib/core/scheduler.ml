@@ -399,41 +399,10 @@ let select ?full t sources =
   in
   (head, runnable)
 
-let take ?full t sources = fst (select ?full t sources)
-
-let take_batch ?full t sources =
-  let head, runnable = select ?full t sources in
-  match head with
-  | None -> []
-  | Some head -> (
-      match (t.policy, head.item, head.window) with
-      | Slack, Propagate_step _, Some w ->
-          (* Batch every other runnable propagate step that reads the very
-             same delta window behind the head: executed back to back they
-             hit the drain-scoped delta memo and share hash builds. Windows
-             only coincide under grid alignment, and Round_robin keeps the
-             legacy one-item drains, so this is policy-visible but changes
-             no default ordering. *)
-          let followers =
-            List.filter
-              (fun s ->
-                s.item <> head.item
-                && (match s.item with
-                   | Propagate_step _ -> true
-                   | Capture_advance | Apply_refresh _ | Checkpoint _ | Gc _
-                     -> false)
-                && s.window = Some w)
-              runnable
-          in
-          let c = Stats.sched_kind t.stats "propagate" in
-          c.Stats.batched <- c.Stats.batched + List.length followers;
-          head :: followers
-      | _ -> [ head ])
-
 (* Two windows conflict when they overlap on the same delta table; any
    other pair can run in the same wave. Identical windows (aligned sibling
-   views) deliberately conflict: executed back to back on one domain they
-   serve each other from the memo, which a concurrent run would forfeit. *)
+   views) deliberately conflict across slots: they chain onto one slot
+   instead, where back to back they serve each other from the memo. *)
 let windows_disjoint (ta, loa, hia) (tb, lob, hib) =
   (not (String.equal ta tb)) || hia <= lob || hib <= loa
 
@@ -445,38 +414,58 @@ let supports_wave sources (s : scored) =
       | None -> false)
   | Capture_advance | Apply_refresh _ | Checkpoint _ | Gc _ -> false
 
+(* A slot's chain: under Slack, a propagate head plus every other runnable
+   propagate step reading the very same delta window, in score order —
+   executed back to back they hit the drain-scoped delta memo and share
+   hash builds. Windows coincide under grid alignment, or when views are
+   caught up to the same clock reading; Round_robin keeps one-item
+   chains. *)
+let chain t runnable ~eligible (head : scored) =
+  match (t.policy, head.item, head.window) with
+  | Slack, Propagate_step _, Some w ->
+      (* Only propagate items carry a window. *)
+      head
+      :: List.filter
+           (fun s -> s.item <> head.item && s.window = Some w && eligible s)
+           runnable
+  | _ -> [ head ]
+
 let take_wave ?full t sources ~max:limit =
   if limit <= 0 then invalid_arg "Scheduler.take_wave: max must be positive";
   let head, runnable = select ?full t sources in
   match head with
   | None -> []
-  | Some head -> (
-      match head.window with
-      | Some w0 when limit > 1 && supports_wave sources head ->
-          (* Greedy wave fill in score order: each candidate joins if its
-             window is disjoint from every member's. [propagate_items]
-             offers at most one item per view, so wave members are distinct
-             views by construction — the other half of the no-conflict
-             rule (a view's ctx/out/frontiers belong to one domain at a
-             time). *)
-          let wave = ref [ (head, w0) ] in
-          List.iter
-            (fun s ->
-              if
-                List.length !wave < limit
-                && s.item <> head.item
-                && supports_wave sources s
-              then
-                match s.window with
-                | Some w
-                  when List.for_all
-                         (fun (_, w') -> windows_disjoint w w')
-                         !wave ->
-                    wave := !wave @ [ (s, w) ]
-                | _ -> ())
-            runnable;
-          let members = List.map fst !wave in
-          let c = Stats.sched_kind t.stats "propagate" in
-          c.Stats.batched <- c.Stats.batched + List.length members - 1;
-          members
-      | _ -> [ head ])
+  | Some head ->
+      let first = chain t runnable ~eligible:(fun _ -> true) head in
+      let wave =
+        match head.window with
+        | Some w0 when limit > 1 && List.for_all (supports_wave sources) first
+          ->
+            (* Greedy fill in score order: each candidate heads a new slot
+               if its window is disjoint from every slot's. Chain members
+               share their head's window, and [propagate_items] offers at
+               most one item per view, so members are distinct views by
+               construction — the other half of the no-conflict rule (a
+               view's ctx/out/frontiers belong to one domain at a time). *)
+            let slots = ref [ (first, w0) ] in
+            List.iter
+              (fun s ->
+                if List.length !slots < limit && supports_wave sources s then
+                  match s.window with
+                  | Some w
+                    when List.for_all
+                           (fun (_, w') -> windows_disjoint w w')
+                           !slots ->
+                      let c =
+                        chain t runnable ~eligible:(supports_wave sources) s
+                      in
+                      slots := !slots @ [ (c, w) ]
+                  | _ -> ())
+              runnable;
+            List.map fst !slots
+        | _ -> [ first ]
+      in
+      let c = Stats.sched_kind t.stats "propagate" in
+      c.Stats.batched <-
+        List.fold_left (fun n ch -> n + List.length ch) (c.Stats.batched - 1) wave;
+      wave

@@ -60,8 +60,8 @@ type scored = {
       (** capture backpressure: the window is not fully captured yet *)
   window : (string * Roll_delta.Time.t * Roll_delta.Time.t) option;
       (** for propagate items, the [(table, lo, hi)] delta window the
-          step's forward query would read — the batching key {!take_batch}
-          groups on; [None] for every other kind *)
+          step's forward query would read — the key {!take_wave} chains
+          and separates slots on; [None] for every other kind *)
   readers : int;
       (** clients currently blocked waiting on this view's freshness (see
           {!set_read_demand}); 0 for non-propagate kinds *)
@@ -126,38 +126,32 @@ val plan : ?full:bool -> t -> source list -> scored list
     offers apply/checkpoint/gc items. Planning is read-only and can be
     called at any time to inspect the queue. *)
 
-val take : ?full:bool -> t -> source list -> scored option
-(** Pop the best runnable item (replanning against current state) and
-    count scheduled/deferred/backpressured. Deferred propagate items are
-    never returned; when any exist and capture lags, the capture item is
-    returned with a boosted score instead. [None] when nothing is
-    runnable — every view is caught up (or paused) and capture has no
-    lag. *)
+val take_wave :
+  ?full:bool -> t -> source list -> max:int -> scored list list
+(** Pop the next {e wave} (replanning against current state) and count
+    scheduled/deferred/backpressured: up to [max] slots, each a {e chain}
+    of items the drain runs back to back on one domain slot; the slots
+    may run concurrently. [[]] when nothing is runnable — every view is
+    caught up (or paused) and capture has no lag.
 
-val take_batch : ?full:bool -> t -> source list -> scored list
-(** Like {!take}, but under {!Slack} when the best runnable item is a
-    propagate step, every other runnable propagate step whose forward
-    query reads the {e same} delta window (equal {!scored.window}) is
-    appended behind it, in score order — one batch of sibling steps that,
-    executed back to back, serve each other from the drain-scoped delta
-    memo and share hash builds. Followers count toward the propagate
-    kind's [batched] counter. Under {!Round_robin} (and for every
-    non-propagate head) the batch is the singleton {!take} would return;
-    [[]] when nothing is runnable. *)
+    The first slot is headed by the best runnable item. Deferred
+    propagate items are never handed out; when any exist and capture
+    lags, the capture item heads instead, with a boosted score. Under
+    {!Slack}, a propagate head is followed by every other runnable
+    propagate step whose forward query reads the {e same} delta window
+    (equal {!scored.window}), in score order: sibling steps that serve
+    each other from the drain-scoped delta memo and share hash builds.
+    Under {!Round_robin}, and for every non-propagate head, the chain is
+    the head alone.
 
-val take_wave : ?full:bool -> t -> source list -> max:int -> scored list
-(** Like {!take}, but when the best runnable item is a propagate step of a
-    window-steppable (rolling-family) controller, up to [max] runnable
-    propagate steps with {e pairwise-disjoint} delta windows are handed
-    out together, in score order — one {e wave} the drain may execute
-    concurrently on worker domains. Two windows conflict exactly when they
-    overlap on the same table; identical windows (aligned siblings)
-    deliberately conflict so they keep their serial back-to-back memo
-    sharing. At most one item per view is ever offered, so wave members
-    are distinct views by construction. Followers count toward the
-    propagate kind's [batched] counter. Non-propagate heads,
-    non-window-steppable processes and [max = 1] degrade to the singleton
-    {!take} would return; [[]] when nothing is runnable.
+    When every member of the first chain is a window-steppable
+    (rolling-family) propagate step and [max > 1], further runnable
+    window-steppable steps head slots of their own in score order, each
+    with its own chain, as long as their windows are {e pairwise
+    disjoint} from every slot's: two windows conflict exactly when they
+    overlap on the same table. At most one item per view is ever offered,
+    so all members are distinct views. Every member after the first
+    counts toward the propagate kind's [batched] counter.
     @raise Invalid_argument if [max] is not positive. *)
 
 val note_ran : ?domain:int -> t -> item -> wall:float -> unit
@@ -168,7 +162,7 @@ val note_ran : ?domain:int -> t -> item -> wall:float -> unit
 
 val ran_by_domain : t -> ((string * int) * int) list
 (** Execution provenance: [((kind, domain slot), items run)], sorted by
-    kind then slot. Serial drains put everything on slot 0. *)
+    kind then slot. A one-slot pool puts everything on slot 0. *)
 
 val begin_drain : t -> unit
 (** Reset per-drain round-robin turn state (and queue-wait bookkeeping).

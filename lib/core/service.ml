@@ -62,8 +62,7 @@ type t = {
   memo : Memo.t;  (** the shared drain-scoped delta memo (enabled iff sharing) *)
   default_sla : int;
   obs : Roll_obs.Obs.t;
-  pool : Roll_util.Dpool.t option;
-      (** worker-domain pool; [Some] switches drains to wave execution *)
+  pool : Roll_util.Dpool.t;  (** the slots every drain's waves run on *)
   mutable gc_threshold : int;
   mutable entries : entry list;  (** registration order *)
   partials : Partial.registry;  (** every derived partial's parts *)
@@ -98,7 +97,8 @@ let env_flag name =
       | _ -> true)
 
 let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
-    ?(default_sla = 100) ?(gc_threshold = max_int) ?obs ?domains db capture =
+    ?(default_sla = 100) ?(gc_threshold = max_int) ?obs ?(domains = 1) db
+    capture =
   let sharing =
     match sharing with Some s -> s | None -> env_flag "ROLL_SHARING"
   in
@@ -109,9 +109,7 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
     match hotset with Some h -> h | None -> env_flag "ROLL_HOTSET"
   in
   if default_sla <= 0 then invalid_arg "Service.create: default_sla";
-  (match domains with
-  | Some n when n < 1 -> invalid_arg "Service.create: domains must be >= 1"
-  | _ -> ());
+  if domains < 1 then invalid_arg "Service.create: domains must be >= 1";
   let obs = match obs with Some o -> o | None -> Roll_obs.Obs.disabled () in
   let scheduler = Scheduler.create ?policy ?cost_weight ?capture_batch db capture in
   if Roll_obs.Obs.enabled obs then begin
@@ -133,10 +131,7 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
     memo = Memo.create ~enabled:sharing ();
     default_sla;
     obs;
-    pool =
-      (match domains with
-      | None -> None
-      | Some n -> Some (Roll_util.Dpool.create ~domains:n ()));
+    pool = Roll_util.Dpool.create ~domains ();
     gc_threshold;
     entries = [];
     partials;
@@ -150,15 +145,13 @@ let scheduler t = t.scheduler
    (Roll_serve.Engine) installs its waiting-reader census here. *)
 let set_read_demand t f = Scheduler.set_read_demand t.scheduler f
 
-let domains t =
-  match t.pool with None -> 1 | Some p -> Roll_util.Dpool.size p
+let domains t = Roll_util.Dpool.size t.pool
 
-(* Join the worker domains (no-op for a serial service). The pool also
+(* Join the worker domains (a one-slot pool has none). The pool also
    shuts down on process exit, but callers creating many short-lived
-   parallel services (tests, benches) must release each one to stay under
-   the runtime's domain limit. *)
-let shutdown t =
-  match t.pool with None -> () | Some p -> Roll_util.Dpool.shutdown p
+   multi-slot services (tests, benches) must release each one to stay
+   under the runtime's domain limit. *)
+let shutdown t = Roll_util.Dpool.shutdown t.pool
 
 (* View-name shard: which domain slot a view's propagate items are homed
    to for queue-depth reporting. Purely observational — waves assign work
@@ -475,6 +468,11 @@ let gc_entry (e : entry) =
   | Some part -> Partial.gc part
   | None -> Controller.gc e.controller
 
+let skip_idle skipped view =
+  Log.warn (fun m ->
+      m "view %s: scheduled step was idle; skipping for this drain" view);
+  Hashtbl.replace skipped view ()
+
 let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
     =
   let mark_bg kind view = Hashtbl.replace bg_done (kind, view) () in
@@ -488,10 +486,7 @@ let exec_item t ~skipped ~bg_done ~step ~capture_run (scored : Scheduler.scored)
           sync_part e;
           Ok true
       | Ok false ->
-          Log.warn (fun m ->
-              m "view %s: scheduled step was idle; skipping for this drain"
-                view);
-          Hashtbl.replace skipped view ();
+          skip_idle skipped view;
           Ok false
       | Error e -> Error e)
   | Scheduler.Apply_refresh view ->
@@ -577,6 +572,95 @@ let rebalance_hotset t =
       add_part_entries t promoted;
       remove_part_entries t demoted
 
+(* Attributes of an item's ["sched.item"] span. Read on the drain domain
+   before the item runs: the queue wait ends at [Scheduler.note_ran]. *)
+let item_attrs t (s : Scheduler.scored) =
+  let module T = Roll_obs.Trace in
+  [
+    ("kind", T.Str (Scheduler.kind_name s.Scheduler.item));
+    ("item", T.Str (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item));
+    ("score", T.Float s.Scheduler.score);
+    ("slack", T.Int s.Scheduler.slack);
+    ("est_rows", T.Int s.Scheduler.est_rows);
+  ]
+  @
+  match Scheduler.queue_wait t.scheduler s.Scheduler.item with
+  | Some w -> [ ("queue_wait", T.Float w) ]
+  | None -> []
+
+let item_span obs attrs run =
+  if Roll_obs.Obs.tracing obs then
+    Roll_obs.Trace.with_span (Roll_obs.Obs.trace obs) ~attrs "sched.item" run
+  else run ()
+
+let mark_failed obs (f : step_error) =
+  if Roll_obs.Obs.tracing obs then
+    Roll_obs.Trace.set_error (Roll_obs.Obs.trace obs)
+      (Printf.sprintf "%s failed at %s" f.view f.point)
+
+(* Per-item metrics of an executed item; [emitted] counts the view-delta
+   rows a propagate item appended. *)
+let item_metrics t (s : Scheduler.scored) ~wall ~emitted =
+  if Roll_obs.Obs.enabled t.obs then begin
+    let m = Roll_obs.Obs.metrics t.obs in
+    let kind = Scheduler.kind_name s.Scheduler.item in
+    Roll_obs.Metrics.observe
+      (Roll_obs.Metrics.histogram m
+         ~help:"Wall-clock seconds per executed work item"
+         ~labels:[ ("kind", kind) ]
+         "roll_item_latency_seconds")
+      wall;
+    (match s.Scheduler.window with
+    | Some (_, lo, hi) ->
+        Roll_obs.Metrics.observe
+          (Roll_obs.Metrics.histogram m
+             ~help:"Delta-window width of executed propagate steps, in commits"
+             "roll_step_window_width")
+          (float_of_int (hi - lo))
+    | None -> ());
+    if String.equal kind "propagate" then
+      Roll_obs.Metrics.observe
+        (Roll_obs.Metrics.histogram m
+           ~help:"View-delta rows emitted per propagate step"
+           "roll_step_rows_emitted")
+        (float_of_int (max 0 emitted))
+  end
+
+type outcome =
+  | Not_run
+  | Ran of (bool * bool, step_error) result  (** [(advanced, executed)] *)
+  | Raised of exn
+
+(* One wave member: a window step, the marks an undo needs, and what its
+   run left behind. [owner] is the member's wave position — unique within
+   the wave (members are distinct views), so an undo evicts exactly its
+   memo fills. *)
+type member = {
+  scored : Scheduler.scored;
+  entry : entry;
+  slot : int;
+  owner : int;
+  relation : int;
+  lo : Time.t;
+  hi : Time.t;
+  out_mark : int;
+  memo_mark : int;
+  obs : Roll_obs.Obs.t;  (** the context's own handle, restored after *)
+  attrs : (string * Roll_obs.Trace.attr) list;
+  mutable outcome : outcome;  (** a chain stops at its first failure *)
+  mutable sleep : float;  (** retry backoff, applied after the join *)
+  mutable wall : float;
+}
+
+(* The first [n] members of a wave, in wave order (slot by slot). *)
+let rec truncate_wave n = function
+  | [] -> []
+  | _ when n <= 0 -> []
+  | chain :: rest ->
+      let len = List.length chain in
+      if len <= n then chain :: truncate_wave (n - len) rest
+      else [ List.filteri (fun i _ -> i < n) chain ]
+
 let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
     ~apply_sleep =
   let skipped = Hashtbl.create 4 in
@@ -598,261 +682,175 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
   (* The obs clock: real time by default, the injected manual clock under
      test — which also makes the scheduler's wall counters deterministic. *)
   let now () = Roll_obs.Obs.now t.obs in
+  (* A capture, apply, checkpoint or gc item, or a step of a process
+     without window steps: one plain item on the drain domain. *)
   let exec_one (scored : Scheduler.scored) =
-    let kind = Scheduler.kind_name scored.Scheduler.item in
-    let emitted_before =
-      if enabled then out_length t scored.Scheduler.item else 0
-    in
-    let run () =
-      let t0 = now () in
-      let result = exec_item t ~skipped ~bg_done ~step ~capture_run scored in
-      let wall = now () -. t0 in
-      Scheduler.note_ran t.scheduler scored.Scheduler.item ~wall;
-      if enabled then begin
-        let m = Roll_obs.Obs.metrics t.obs in
-        Roll_obs.Metrics.observe
-          (Roll_obs.Metrics.histogram m
-             ~help:"Wall-clock seconds per executed work item"
-             ~labels:[ ("kind", kind) ]
-             "roll_item_latency_seconds")
-          wall;
-        (match scored.Scheduler.window with
-        | Some (_, lo, hi) ->
-            Roll_obs.Metrics.observe
-              (Roll_obs.Metrics.histogram m
-                 ~help:
-                   "Delta-window width of executed propagate steps, in commits"
-                 "roll_step_window_width")
-              (float_of_int (hi - lo))
-        | None -> ());
-        if String.equal kind "propagate" then
-          Roll_obs.Metrics.observe
-            (Roll_obs.Metrics.histogram m
-               ~help:"View-delta rows emitted per propagate step"
-               "roll_step_rows_emitted")
-            (float_of_int
-               (max 0 (out_length t scored.Scheduler.item - emitted_before)))
-      end;
-      (match result with
-      | Error (f : step_error) ->
-          if tracing then
-            Roll_obs.Trace.set_error
-              (Roll_obs.Obs.trace t.obs)
-              (Printf.sprintf "%s failed at %s" f.view f.point)
-      | Ok _ -> ());
-      result
-    in
-    if tracing then begin
-      let wait = Scheduler.queue_wait t.scheduler scored.Scheduler.item in
-      let attrs =
-        [
-          ("kind", Roll_obs.Trace.Str kind);
-          ( "item",
-            Roll_obs.Trace.Str
-              (Format.asprintf "%a" Scheduler.pp_item scored.Scheduler.item) );
-          ("score", Roll_obs.Trace.Float scored.Scheduler.score);
-          ("slack", Roll_obs.Trace.Int scored.Scheduler.slack);
-          ("est_rows", Roll_obs.Trace.Int scored.Scheduler.est_rows);
-        ]
-        @
-        match wait with
-        | Some w -> [ ("queue_wait", Roll_obs.Trace.Float w) ]
-        | None -> []
-      in
-      Roll_obs.Trace.with_span (Roll_obs.Obs.trace t.obs) ~attrs "sched.item"
-        run
-    end
-    else run ()
+    let attrs = if tracing then item_attrs t scored else [] in
+    item_span t.obs attrs (fun () ->
+        let before = if enabled then out_length t scored.Scheduler.item else 0 in
+        let t0 = now () in
+        let result = exec_item t ~skipped ~bg_done ~step ~capture_run scored in
+        let wall = now () -. t0 in
+        Scheduler.note_ran t.scheduler scored.Scheduler.item ~wall;
+        if enabled then
+          item_metrics t scored ~wall
+            ~emitted:(out_length t scored.Scheduler.item - before);
+        (match result with Error f -> mark_failed t.obs f | Ok _ -> ());
+        result)
   in
-  (* ---------------- wave execution (worker-domain pool) ------------- *)
-  (* One wave: pairwise-disjoint-window propagate steps of distinct views,
-     executed concurrently in frozen-clock mode, then committed by this
-     (single-writer) domain in wave order. Failure semantics match the
-     serial drain: the earliest wave-order failure wins and every later
-     item — even a successful one — is undone as if it never ran. *)
-  let exec_wave pool (wave : Scheduler.scored list) =
-    let module Dpool = Roll_util.Dpool in
+  (* One wave: one chain of window steps per slot, the slots' windows
+     pairwise disjoint. Slot [i] runs on pool slot [i] (slot 0 on this
+     domain) in frozen-clock mode, its chain back to back; then this
+     single-writer domain commits in wave order. The earliest wave-order
+     failure wins and every later member — even a successful one — is
+     undone as if it never ran. *)
+  let exec_wave chains =
     let frozen = Capture.hwm t.capture in
-    (* Pre-build every lazy timestamp index a wave item will read: window
-       reads rebuild stale indexes in place, which is only safe before the
-       workers start sharing the deltas read-only. *)
-    List.iter
-      (fun (s : Scheduler.scored) ->
-        match s.Scheduler.window with
-        | Some (table, _, _) -> Delta.freshen (Capture.delta t.capture ~table)
-        | None -> ())
-      wave;
-    let items = Array.of_list wave in
-    let n = Array.length items in
-    let size = Dpool.size pool in
-    let prep =
+    let owner = ref 0 in
+    let member slot (s : Scheduler.scored) =
+      match (s.Scheduler.item, s.Scheduler.window) with
+      | Scheduler.Propagate_step { view; relation }, Some (table, lo, hi) ->
+          (* Pre-build the lazy timestamp index the step will read: window
+             reads rebuild stale indexes in place, which is only safe
+             before the workers start sharing the deltas read-only. *)
+          Delta.freshen (Capture.delta t.capture ~table);
+          let entry = find t view in
+          let ctx = Controller.ctx entry.controller in
+          ctx.Ctx.memo_owner <- !owner;
+          incr owner;
+          {
+            scored = s;
+            entry;
+            slot;
+            owner = ctx.Ctx.memo_owner;
+            relation;
+            lo;
+            hi;
+            out_mark = Delta.length ctx.Ctx.out;
+            memo_mark = Memo.mark ctx.Ctx.memo;
+            obs = ctx.Ctx.obs;
+            attrs = (if tracing then item_attrs t s else []);
+            outcome = Not_run;
+            sleep = 0.;
+            wall = 0.;
+          }
+      | _ -> assert false
+    in
+    let slots =
+      Array.of_list (List.mapi (fun i c -> List.map (member i) c) chains)
+    in
+    (* The trace recorder is single-domain: members on worker slots trace
+       into a per-slot fork, spliced back after the join. *)
+    let forks =
       Array.mapi
-        (fun k (s : Scheduler.scored) ->
-          let view, relation =
-            match s.Scheduler.item with
-            | Scheduler.Propagate_step { view; relation } -> (view, relation)
-            | _ -> assert false
-          in
-          let lo, hi =
-            match s.Scheduler.window with
-            | Some (_, lo, hi) -> (lo, hi)
-            | None -> assert false
-          in
-          let ctl = (find t view).controller in
-          let ctx = Controller.ctx ctl in
-          let out_mark = Delta.length ctx.Ctx.out in
-          let memo_mark = Memo.mark ctx.Ctx.memo in
-          (* The owner tag is the wave position — unique within the wave
-             (members are distinct views), so an undo evicts exactly this
-             item's memo fills. *)
-          ctx.Ctx.memo_owner <- k;
-          let saved_obs = ctx.Ctx.obs in
-          if tracing then ctx.Ctx.obs <- Roll_obs.Obs.fork saved_obs;
-          let wait = Scheduler.queue_wait t.scheduler s.Scheduler.item in
-          (s, view, relation, ctl, ctx, lo, hi, out_mark, memo_mark, saved_obs,
-           wait))
-        items
-    in
-    let sleeps = Array.make n 0. in
-    let walls = Array.make n 0. in
-    let jobs =
-      Array.map
-        (fun (s, _, relation, ctl, ctx, _, hi, _, _, _, wait) (_slot : int) ->
-          let obs = ctx.Ctx.obs in
-          let run () =
-            let t0 = Roll_obs.Obs.now obs in
-            let result =
-              wave_step ctl ~relation ~hi ~frozen ~sleep:(fun d ->
-                  (* Workers must not touch the (single-writer) simulated
-                     wall clock; backoff accumulates here and the drain
-                     domain applies it deterministically after the join. *)
-                  let k = ctx.Ctx.memo_owner in
-                  sleeps.(k) <- sleeps.(k) +. d)
-            in
-            walls.(ctx.Ctx.memo_owner) <- Roll_obs.Obs.now obs -. t0;
-            (match result with
-            | Error (f : step_error) ->
-                if Roll_obs.Obs.tracing obs then
-                  Roll_obs.Trace.set_error
-                    (Roll_obs.Obs.trace obs)
-                    (Printf.sprintf "%s failed at %s" f.view f.point)
-            | Ok _ -> ());
-            result
-          in
-          if Roll_obs.Obs.tracing obs then begin
-            let attrs =
-              [
-                ("kind", Roll_obs.Trace.Str "propagate");
-                ( "item",
-                  Roll_obs.Trace.Str
-                    (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item)
-                );
-                ("score", Roll_obs.Trace.Float s.Scheduler.score);
-                ("slack", Roll_obs.Trace.Int s.Scheduler.slack);
-                ("est_rows", Roll_obs.Trace.Int s.Scheduler.est_rows);
-              ]
-              @
-              match wait with
-              | Some w -> [ ("queue_wait", Roll_obs.Trace.Float w) ]
-              | None -> []
-            in
-            Roll_obs.Trace.with_span (Roll_obs.Obs.trace obs) ~attrs
-              "sched.item" run
+        (fun i chain ->
+          if tracing && i > 0 then begin
+            let fork = Roll_obs.Obs.fork t.obs in
+            List.iter
+              (fun m -> (Controller.ctx m.entry.controller).Ctx.obs <- fork)
+              chain;
+            Some fork
           end
-          else run ())
-        prep
+          else None)
+        slots
     in
-    let results = Dpool.map pool jobs in
-    (* Single-writer commit phase, wave order throughout. Restore the
-       contexts' observability handles and splice the forked traces back
-       first, so commit-phase spans and errors land on the parent. *)
+    let run_chain chain (_slot : int) =
+      let rec go = function
+        | [] -> ()
+        | m :: rest -> (
+            let ctl = m.entry.controller in
+            let obs = (Controller.ctx ctl).Ctx.obs in
+            let run () =
+              let t0 = Roll_obs.Obs.now obs in
+              let result =
+                wave_step ctl ~relation:m.relation ~hi:m.hi ~frozen
+                  ~sleep:(fun d ->
+                    (* Workers must not touch the (single-writer) simulated
+                       wall clock; backoff accumulates here and this domain
+                       applies it deterministically after the join. *)
+                    m.sleep <- m.sleep +. d)
+              in
+              m.wall <- Roll_obs.Obs.now obs -. t0;
+              (match result with Error f -> mark_failed obs f | Ok _ -> ());
+              result
+            in
+            match item_span obs m.attrs run with
+            | Ok _ as r ->
+                m.outcome <- Ran r;
+                go rest
+            | Error _ as r -> m.outcome <- Ran r
+            | exception exn -> m.outcome <- Raised exn)
+      in
+      go chain
+    in
     Array.iter
-      (fun (_, _, _, _, ctx, _, _, _, _, saved_obs, _) ->
-        if tracing then begin
-          let child = ctx.Ctx.obs in
-          ctx.Ctx.obs <- saved_obs;
-          Roll_obs.Obs.absorb saved_obs child
-        end)
-      prep;
-    let first_err = ref n in
+      (function Ok () -> () | Error exn -> raise exn)
+      (Roll_util.Dpool.map t.pool (Array.map run_chain slots));
+    (* Restore the contexts' handles and splice the forked traces back
+       first, so commit-phase spans and errors land on the parent. *)
     Array.iteri
-      (fun k r ->
-        if !first_err = n then
-          match r with Ok (Ok _) -> () | Ok (Error _) | Error _ -> first_err := k)
-      results;
-    let fe = !first_err in
-    (* Everything ordered after the first failure is undone — a completed
-       item's rows, memo fills and frontier; a failed later item's partial
-       emissions (its internal rollback, if any, makes this a no-op). *)
-    for k = n - 1 downto fe + 1 do
-      let _, _, relation, ctl, _, lo, _, out_mark, memo_mark, _, _ = prep.(k) in
-      Controller.undo_window ctl ~relation ~lo ~out_mark ~memo_mark ~owner:k
-    done;
-    let commit_metrics (s : Scheduler.scored) ~wall ~emitted =
-      if enabled then begin
-        let m = Roll_obs.Obs.metrics t.obs in
-        Roll_obs.Metrics.observe
-          (Roll_obs.Metrics.histogram m
-             ~help:"Wall-clock seconds per executed work item"
-             ~labels:[ ("kind", "propagate") ]
-             "roll_item_latency_seconds")
-          wall;
-        (match s.Scheduler.window with
-        | Some (_, lo, hi) ->
-            Roll_obs.Metrics.observe
-              (Roll_obs.Metrics.histogram m
-                 ~help:
-                   "Delta-window width of executed propagate steps, in commits"
-                 "roll_step_window_width")
-              (float_of_int (hi - lo))
-        | None -> ());
-        Roll_obs.Metrics.observe
-          (Roll_obs.Metrics.histogram m
-             ~help:"View-delta rows emitted per propagate step"
-             "roll_step_rows_emitted")
-          (float_of_int (max 0 emitted))
-      end
+      (fun i chain ->
+        Option.iter
+          (fun fork ->
+            List.iter
+              (fun m -> (Controller.ctx m.entry.controller).Ctx.obs <- m.obs)
+              chain;
+            Roll_obs.Obs.absorb t.obs fork)
+          forks.(i))
+      slots;
+    let members = Array.of_list (List.concat (Array.to_list slots)) in
+    let n = Array.length members in
+    let fe =
+      let rec first k =
+        if k = n then n
+        else
+          match members.(k).outcome with
+          | Ran (Ok _) -> first (k + 1)
+          | Ran (Error _) | Raised _ | Not_run -> k
+      in
+      first 0
     in
+    (* Everything ordered after the first failure is undone — a completed
+       member's rows, memo fills and frontier; a failed later member's
+       partial emissions (its internal rollback, if any, makes this a
+       no-op); an unrun member's nothing. *)
+    for k = n - 1 downto fe + 1 do
+      let m = members.(k) in
+      Controller.undo_window m.entry.controller ~relation:m.relation ~lo:m.lo
+        ~out_mark:m.out_mark ~memo_mark:m.memo_mark ~owner:m.owner
+    done;
     for k = 0 to min fe (n - 1) do
-      let s, view, _, ctl, ctx, _, _, out_mark, _, _, _ = prep.(k) in
+      let m = members.(k) in
+      let ctl = m.entry.controller in
       (* Retry backoff accumulated on the worker, applied in wave order so
          the simulated wall clock advances deterministically. *)
-      if sleeps.(k) > 0. then apply_sleep sleeps.(k);
-      match results.(k) with
-      | Ok (Ok (advanced, ran_query)) ->
+      if m.sleep > 0. then apply_sleep m.sleep;
+      let note_ran () =
+        Scheduler.note_ran ~domain:m.slot t.scheduler m.scored.Scheduler.item
+          ~wall:m.wall;
+        item_metrics t m.scored ~wall:m.wall
+          ~emitted:(Delta.length (Controller.ctx ctl).Ctx.out - m.out_mark)
+      in
+      match m.outcome with
+      | Ran (Ok (advanced, ran_query)) ->
           Controller.note_step_durable ctl ~advanced ~executed:ran_query;
-          (* Committed wave items are final (everything after the first
+          (* Committed members are final (everything after the first
              failure was already undone above), so a part's mirror can
              fold the step's rows in now. *)
-          sync_part (find t view);
-          Scheduler.note_ran ~domain:(k mod size) t.scheduler
-            s.Scheduler.item ~wall:walls.(k);
-          commit_metrics s ~wall:walls.(k)
-            ~emitted:(Delta.length ctx.Ctx.out - out_mark);
-          if advanced then incr executed
-          else begin
-            Log.warn (fun m ->
-                m "view %s: scheduled step was idle; skipping for this drain"
-                  view);
-            Hashtbl.replace skipped view ()
-          end
-      | Ok (Error f) ->
-          Scheduler.note_ran ~domain:(k mod size) t.scheduler
-            s.Scheduler.item ~wall:walls.(k);
-          commit_metrics s ~wall:walls.(k)
-            ~emitted:(Delta.length ctx.Ctx.out - out_mark);
-          if tracing then
-            Roll_obs.Trace.set_error
-              (Roll_obs.Obs.trace t.obs)
-              (Printf.sprintf "%s failed at %s" f.view f.point);
+          sync_part m.entry;
+          note_ran ();
+          if advanced then incr executed else skip_idle skipped m.entry.name
+      | Ran (Error f) ->
+          note_ran ();
+          mark_failed t.obs f;
           failure := Some f
-      | Error exn ->
-          (* A plain (retry-less) drain propagates step exceptions; the
-             partial state it leaves matches the serial path's. *)
+      | Raised exn ->
+          (* A plain (retry-less) drain propagates step exceptions. *)
           raise exn
+      | Not_run -> assert false (* a chain stops only after a failure *)
     done
   in
-  let is_wave_head (s : Scheduler.scored) =
+  let is_wave_member (s : Scheduler.scored) =
     match (s.Scheduler.item, s.Scheduler.window) with
     | Scheduler.Propagate_step { view; _ }, Some _ ->
         Controller.supports_window_step (find t view).controller
@@ -860,34 +858,29 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
   in
   let body () =
     while !continue && !failure = None && !executed < budget do
+      (* Probes never mutate (they run on workers): keep the partitions'
+         light residuals pumped and parts synced here, on the single
+         writer, before every wave. *)
+      Option.iter Hotset.pump t.hotset;
       let srcs = sources ~skip ~bg_done:done_bg t in
-      match t.pool with
-      | Some pool -> (
-          let cap = min (Roll_util.Dpool.size pool) (budget - !executed) in
-          match Scheduler.take_wave ~full t.scheduler srcs ~max:(max 1 cap) with
-          | [] -> continue := false
-          | wave when List.for_all is_wave_head wave -> exec_wave pool wave
-          | [ single ] -> (
-              (* Non-propagate head (capture, apply, checkpoint, gc) or a
-                 process without window steps: the legacy serial item. *)
-              match exec_one single with
-              | Ok counts -> if counts then incr executed
-              | Error f -> failure := Some f)
-          | _ -> assert false (* take_wave only builds waves of wave heads *))
-      | None -> (
-          match Scheduler.take_batch ~full t.scheduler srcs with
-          | [] -> continue := false
-          | batch ->
-              (* Same-window sibling steps run back to back so the trailing
-                 ones replay the head's memoized delta; budget and failure
-                 checks still apply per item. *)
-              List.iter
-                (fun (scored : Scheduler.scored) ->
-                  if !failure = None && !executed < budget then
-                    match exec_one scored with
-                    | Ok counts -> if counts then incr executed
-                    | Error f -> failure := Some f)
-                batch)
+      let left = budget - !executed in
+      match
+        Scheduler.take_wave ~full t.scheduler srcs
+          ~max:(min (Roll_util.Dpool.size t.pool) left)
+      with
+      | [] -> continue := false
+      | wave when List.for_all (List.for_all is_wave_member) wave ->
+          exec_wave (truncate_wave left wave)
+      | [ chain ] ->
+          (* Budget and failure checks still apply per item. *)
+          List.iter
+            (fun (scored : Scheduler.scored) ->
+              if !failure = None && !executed < budget then
+                match exec_one scored with
+                | Ok counts -> if counts then incr executed
+                | Error f -> failure := Some f)
+            chain
+      | _ -> assert false (* only all-window-step waves have several slots *)
     done;
     match !failure with Some f -> Error f | None -> Ok !executed
   in

@@ -108,9 +108,9 @@ val create :
     siblings; hash builds and delta-window materializations shared through
     the build cache), step windows snap to the propagation-interval grid
     (see {!Controller.set_window_alignment}) so sibling windows coincide,
-    and {!Scheduler.Slack} drains batch same-window sibling steps back to
-    back ({!Scheduler.take_batch}). Sharing changes which physical queries
-    run — never the maintained contents.
+    and {!Scheduler.Slack} drains chain same-window sibling steps back to
+    back on one slot ({!Scheduler.take_wave}). Sharing changes which
+    physical queries run — never the maintained contents.
 
     [auxiliary] (default: the [ROLL_AUX] environment flag, off when unset)
     turns on higher-order delta processing: registering a view also
@@ -147,16 +147,16 @@ val create :
     queue-wait attributes), per-kind item-latency, window-width and
     rows-emitted histograms, and every registered view's {!Stats} surface
     as [view]-labeled registry series alongside per-view freshness gauges.
-    [domains] (default 1: the serial drain, byte-for-byte the previous
-    behavior) sizes a worker-domain pool for parallel maintenance. With
-    [domains = n > 1], drains plan {e waves} of up to [n]
-    pairwise-disjoint-window propagation steps ({!Scheduler.take_wave})
-    and execute them concurrently in frozen-clock mode
-    ({!Controller.step_window}), while capture, apply, checkpoint, gc,
-    WAL markers and the retry wall clock stay on the calling (single
-    writer) domain. Parallel drains maintain bit-identical view contents
-    and frontiers to the serial path — only throughput changes. Requires
-    an OCaml 5 runtime.
+    [domains] (default 1) sizes the worker-domain pool every drain runs
+    on; a one-slot pool spawns no domain and runs everything on the
+    caller. Drains plan {e waves} ({!Scheduler.take_wave}): up to
+    [domains] slots, each a chain of propagation steps, the slots'
+    windows pairwise disjoint. Rolling-family steps execute in
+    frozen-clock mode ({!Controller.step_window}), the slots
+    concurrently, while capture, apply, checkpoint, gc, [Uniform] and
+    [Deferred] steps, WAL markers and the retry wall clock stay on the
+    calling (single writer) domain. Every width maintains bit-identical
+    view contents and frontier markers — only throughput changes.
     @raise Invalid_argument on non-positive [default_sla], [gc_threshold],
     [capture_batch], or [domains < 1]. *)
 
@@ -168,14 +168,14 @@ val env_domains : unit -> int option
     set to anything else (zero, negative, not a number). *)
 
 val domains : t -> int
-(** Domain slots drains execute on: 1 for a serial service, the pool size
-    ([workers + caller]) otherwise. *)
+(** Domain slots drains execute on: the pool size ([workers + caller]). *)
 
 val shutdown : t -> unit
-(** Join the worker-domain pool (no-op for a serial service). Idempotent;
-    the pool also shuts down on process exit, but callers creating many
-    short-lived parallel services must release each one to stay under the
-    runtime's domain limit. Draining a shut-down service is an error. *)
+(** Join the worker-domain pool (a one-slot pool has none to join).
+    Idempotent; a multi-slot pool also shuts down on process exit, but
+    callers creating many short-lived multi-slot services must release
+    each one to stay under the runtime's domain limit. Draining a
+    shut-down service is an error. *)
 
 val register :
   ?durable:bool -> t -> algorithm:Controller.algorithm -> View.t -> Controller.t
@@ -266,7 +266,7 @@ val schedule_json : ?full:bool -> t -> string
 val shard_of : t -> string -> int
 (** The domain slot a view name hashes to — the observational shard used
     by {!shard_depths}; actual wave execution assigns items to slots by
-    wave position. Always 0 for a serial service. *)
+    wave position. Always 0 for a one-slot service. *)
 
 val shard_depths : ?full:bool -> t -> int array
 (** Planned queue depth per domain slot: propagate items counted under

@@ -3,20 +3,6 @@
    clearing the mailbox. [map] is a full barrier, so a wave's jobs never
    overlap the caller's sequential sections. *)
 
-let require_ocaml5 () =
-  let major =
-    match String.split_on_char '.' Sys.ocaml_version with
-    | major :: _ -> ( try int_of_string major with Failure _ -> 0)
-    | [] -> 0
-  in
-  if major < 5 then
-    failwith
-      (Printf.sprintf
-         "rolling_ivm: domain-parallel maintenance needs OCaml >= 5.1 \
-          (running under %s); rebuild with an OCaml 5 switch or run with \
-          domains=1 semantics via the serial entry points"
-         Sys.ocaml_version)
-
 type mailbox = {
   mutex : Mutex.t;
   cond : Condition.t;
@@ -54,8 +40,20 @@ let worker_loop (box : mailbox) =
   in
   loop ()
 
+let shutdown t =
+  if t.alive then begin
+    t.alive <- false;
+    Array.iter
+      (fun box ->
+        Mutex.lock box.mutex;
+        box.stop <- true;
+        Condition.broadcast box.cond;
+        Mutex.unlock box.mutex)
+      t.workers;
+    Array.iter Domain.join t.handles
+  end
+
 let create ?(seed = 0) ~domains () =
-  require_ocaml5 ();
   if domains <= 0 then invalid_arg "Dpool.create: domains must be positive";
   let root = Prng.create ~seed in
   let streams = Prng.split_n root domains in
@@ -72,20 +70,9 @@ let create ?(seed = 0) ~domains () =
     Array.map (fun box -> Domain.spawn (fun () -> worker_loop box)) workers
   in
   let t = { streams; workers; handles; alive = true } in
-  at_exit (fun () ->
-      (* [shutdown] below; referencing it before its definition would need
-         recursion, so inline the guard. *)
-      if t.alive then begin
-        t.alive <- false;
-        Array.iter
-          (fun box ->
-            Mutex.lock box.mutex;
-            box.stop <- true;
-            Condition.broadcast box.cond;
-            Mutex.unlock box.mutex)
-          t.workers;
-        Array.iter Domain.join t.handles
-      end);
+  (* Only spawned workers need joining at exit; a one-slot pool owns none,
+     so the many short-lived services that use one register nothing. *)
+  if domains > 1 then at_exit (fun () -> shutdown t);
   t
 
 let size t = Array.length t.workers + 1
@@ -131,16 +118,3 @@ let map t jobs =
     await t.workers.(w - 1)
   done;
   results
-
-let shutdown t =
-  if t.alive then begin
-    t.alive <- false;
-    Array.iter
-      (fun box ->
-        Mutex.lock box.mutex;
-        box.stop <- true;
-        Condition.broadcast box.cond;
-        Mutex.unlock box.mutex)
-      t.workers;
-    Array.iter Domain.join t.handles
-  end

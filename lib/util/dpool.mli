@@ -10,11 +10,7 @@
 
     Each slot additionally carries its own deterministic {!Prng} stream,
     derived by {!Prng.split_n} from the pool seed — no [Random.State] is
-    ever shared across domains.
-
-    Requires OCaml 5.x at runtime; {!create} fails fast with a clear error
-    otherwise (the [dune-project] lower bound enforces this at build
-    time). *)
+    ever shared across domains. *)
 
 type t
 
@@ -23,8 +19,7 @@ val create : ?seed:int -> domains:int -> unit -> t
     1-domain pool spawns nothing and {!map} degenerates to a sequential
     loop on the caller). [seed] (default 0) roots the per-slot PRNG
     streams.
-    @raise Invalid_argument if [domains] is not positive.
-    @raise Failure on an OCaml runtime older than 5. *)
+    @raise Invalid_argument if [domains] is not positive. *)
 
 val size : t -> int
 (** Number of slots, including the caller's slot 0. *)
@@ -41,5 +36,5 @@ val map : t -> (int -> 'a) array -> ('a, exn) result array
     @raise Invalid_argument if called while the pool is shut down. *)
 
 val shutdown : t -> unit
-(** Join and release the worker domains. Idempotent; the pool also shuts
-    itself down [at_exit]. *)
+(** Join and release the worker domains. Idempotent; a pool that spawned
+    workers also shuts itself down [at_exit]. *)

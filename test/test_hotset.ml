@@ -234,10 +234,11 @@ let test_migration_exactness () =
    precedence there, so every substitution is an auxiliary hit.        *)
 
 let test_on_off_identical () =
-  let drive ~auxiliary ~hotset =
+  let drive ~domains ~auxiliary ~hotset =
     let s = filtered () in
     let svc =
-      C.Service.create ~hotset ~auxiliary ~default_sla:500 s.db s.capture
+      C.Service.create ~domains ~hotset ~auxiliary ~default_sla:500 s.db
+        s.capture
     in
     let ctl = C.Service.register svc ~algorithm:(rolling 3) s.view in
     let rng = Prng.create ~seed:23 in
@@ -263,29 +264,45 @@ let test_on_off_identical () =
     Alcotest.check relation "matches oracle"
       (C.Oracle.view_at s.history s.view (C.Controller.as_of ctl))
       final;
+    C.Service.shutdown svc;
     (C.Controller.stats ctl, List.rev (final :: !snaps))
   in
-  let _, off = drive ~auxiliary:false ~hotset:false in
-  let identical label on =
-    Alcotest.(check int) "same number of snapshots" (List.length off)
-      (List.length on);
-    List.iteri
-      (fun i (a, b) ->
-        Alcotest.check relation
-          (Printf.sprintf "snapshot %d identical %s vs off" i label)
-          b a)
-      (List.combine on off)
-  in
-  let hot, on = drive ~auxiliary:false ~hotset:true in
-  identical "hotset on" on;
-  Alcotest.(check bool) "heavy-light substitution actually fired" true
-    (C.Stats.hot_hits hot > 0);
-  let both, on = drive ~auxiliary:true ~hotset:true in
-  identical "auxiliaries + hotset" on;
-  Alcotest.(check bool) "auxiliary substitution fired" true
-    (C.Stats.aux_hits both > 0);
-  Alcotest.(check int) "the auxiliary takes precedence over the partition" 0
-    (C.Stats.hot_hits both)
+  (* Every pool width: probes run on wave workers and never pump, so the
+     drain must keep the partitions fresh on every width alike. *)
+  List.iter
+    (fun domains ->
+      let _, off = drive ~domains ~auxiliary:false ~hotset:false in
+      let identical label on =
+        Alcotest.(check int) "same number of snapshots" (List.length off)
+          (List.length on);
+        List.iteri
+          (fun i (a, b) ->
+            Alcotest.check relation
+              (Printf.sprintf "%d domains: snapshot %d identical %s vs off"
+                 domains i label)
+              b a)
+          (List.combine on off)
+      in
+      let hot, on = drive ~domains ~auxiliary:false ~hotset:true in
+      identical "hotset on" on;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains: heavy-light substitution actually fired"
+           domains)
+        true
+        (C.Stats.hot_hits hot > 0);
+      let both, on = drive ~domains ~auxiliary:true ~hotset:true in
+      identical "auxiliaries + hotset" on;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains: auxiliary substitution fired" domains)
+        true
+        (C.Stats.aux_hits both > 0);
+      Alcotest.(check int)
+        (Printf.sprintf
+           "%d domains: the auxiliary takes precedence over the partition"
+           domains)
+        0
+        (C.Stats.hot_hits both))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Service integration: dedupe across siblings, guarded unregister,

@@ -82,7 +82,7 @@ let test_memo_ops () =
   C.Memo.add m (key 1 8) [| row 2 1 6 |];
   C.Memo.add m (key (-1) 9) [||];
   Alcotest.(check int) "size before evict" 3 (C.Memo.size m);
-  C.Memo.evict_since m mark;
+  C.Memo.evict_since m ~owner:0 mark;
   Alcotest.(check int) "size after evict" 1 (C.Memo.size m);
   Alcotest.(check bool) "entry after the mark evicted" true
     (C.Memo.find m (key 1 8) = None);

@@ -1,5 +1,6 @@
 (* Multicore maintenance: a service draining through a worker-domain pool
-   must maintain bit-identical state to the serial drain — same view-delta
+   must maintain bit-identical state to the default one-slot pool, which
+   runs every wave on the caller — same view-delta
    rows, same frontier vectors, same durable frontier markers, same
    contents vs the oracle — across fault-harness seeds, while the
    domain-safe Stats and Memo structures keep exact totals under
@@ -22,7 +23,7 @@ let pool_domains =
 
 (* Three views over the chain-join scenario with different source sets and
    intervals, so drains have genuinely disjoint windows to hand out as
-   waves (identical windows deliberately serialize). *)
+   waves (identical windows chain onto one slot). *)
 let a_only_view db name =
   let b = C.View.binder db [ ("a", "a") ] in
   C.View.create db ~name ~sources:[ ("a", "a") ]
@@ -47,8 +48,9 @@ let c_only_view db name =
 
 (* Build a scenario, register the three views durably, inject per-seed
    transient faults, and drain under the retry policy. The transaction
-   stream is a pure function of [seed], so a serial and a parallel run see
-   byte-identical input histories. *)
+   stream is a pure function of [seed], so a one-slot and a pooled run see
+   byte-identical input histories. [domains = None] is the default
+   one-slot pool. *)
 let run_drain ~seed ~domains =
   let s = three_table () in
   let rng = Prng.create ~seed in
@@ -84,12 +86,11 @@ let run_drain ~seed ~domains =
 
 (* Everything meaningful the drain left behind, per view: the literal
    view-delta row sequence and the latest durable frontier marker in the
-   WAL. The raw in-memory [tfwd] values are deliberately excluded: each
-   serial physical query commits a marker transaction to obtain its
-   execution time (frozen-mode steps do not), so the two runs' clocks — and
-   the trailing quiet-window frontiers chasing them — legitimately end at
-   different absolute readings. Instead each run asserts it is fully caught
-   up against its own clock. *)
+   WAL. The raw in-memory [tfwd] values are left out: absolute clock
+   readings are not part of the contract (only marker commits move the
+   clock, and which quiet windows a drain steps past depends on its
+   waves). Instead each run asserts it is fully caught up against its own
+   clock. *)
 let fingerprint (s, _service, ctls, _data_now, result) =
   match result with
   | Error (e : C.Service.step_error) ->

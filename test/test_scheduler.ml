@@ -299,6 +299,71 @@ let test_sla_and_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Wave formation: aligned siblings chain onto one slot behind the head —
+   back to back they replay each other's memoized deltas — and a view
+   whose window is disjoint heads a slot of its own once the wave has
+   room. Round_robin keeps one-item chains. *)
+let test_wave_chains () =
+  let wave policy ~max =
+    let s = two_table () in
+    let service = C.Service.create ~policy s.db s.capture in
+    let rolling i = C.Controller.Rolling (C.Rolling.uniform i) in
+    let bs = C.View.binder s.db [ ("s", "s") ] in
+    let vs =
+      C.View.create s.db ~name:"vs" ~sources:[ ("s", "s") ] ~predicate:[]
+        ~project:[ bs "s" "k"; bs "s" "w" ]
+    in
+    List.iter
+      (fun v -> ignore (C.Service.register service ~algorithm:(rolling 3) v))
+      [
+        s.view;
+        clone_view s.db s.view ~name:"rs_b";
+        clone_view s.db s.view ~name:"rs_c";
+      ];
+    ignore (C.Service.register service ~algorithm:(rolling 5) vs);
+    C.Service.set_sla service "vs" 500;
+    (* Catch every view up to one clock reading. Window steps commit
+       nothing, so the siblings' frontiers coincide, and with them their
+       next windows; vs steps over the other table. *)
+    ignore (C.Service.step_all service ~budget:1000);
+    random_txns (Prng.create ~seed:509) s 12;
+    Roll_capture.Capture.advance s.capture;
+    let sources =
+      List.map
+        (fun name ->
+          {
+            C.Scheduler.name;
+            controller = C.Service.controller service name;
+            paused = false;
+            sla = C.Service.sla service name;
+            apply_due = false;
+            checkpoint_due = false;
+            gc_due = false;
+            partial = false;
+          })
+        (C.Service.names service)
+    in
+    let sched = C.Service.scheduler service in
+    C.Scheduler.begin_drain sched;
+    List.map
+      (List.map (fun (sc : C.Scheduler.scored) ->
+           match sc.C.Scheduler.item with
+           | C.Scheduler.Propagate_step { view; _ } -> view
+           | item -> Format.asprintf "%a" C.Scheduler.pp_item item))
+      (C.Scheduler.take_wave sched sources ~max)
+  in
+  let check = Alcotest.(check (list (list string))) in
+  check "width 1: the head and its same-window siblings"
+    [ [ "rs"; "rs_b"; "rs_c" ] ]
+    (wave C.Scheduler.Slack ~max:1);
+  check "width 2: the disjoint view heads a second slot"
+    [ [ "rs"; "rs_b"; "rs_c" ]; [ "vs" ] ]
+    (wave C.Scheduler.Slack ~max:2);
+  check "round-robin: a singleton" [ [ "rs" ] ]
+    (wave C.Scheduler.Round_robin ~max:1);
+  check "round-robin: one-item chains" [ [ "rs" ]; [ "vs" ] ]
+    (wave C.Scheduler.Round_robin ~max:2)
+
 let suite =
   [
     Alcotest.test_case "backpressure defers and boosts" `Quick test_backpressure;
@@ -308,6 +373,7 @@ let suite =
       test_capture_permanent_failure;
     Alcotest.test_case "slack ordering" `Quick test_slack_ordering;
     Alcotest.test_case "round-robin ordering" `Quick test_round_robin_ordering;
+    Alcotest.test_case "wave chains and slots" `Quick test_wave_chains;
     Alcotest.test_case "reader boost ordering" `Quick
       test_reader_boost_ordering;
     Alcotest.test_case "reader boost below backpressure" `Quick

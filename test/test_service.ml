@@ -115,9 +115,9 @@ let test_unknown_view () =
   Alcotest.check_raises "unknown view" Not_found (fun () ->
       ignore (C.Service.controller service "nope"))
 
-(* ROLL_DOMAINS: unset or empty means a serial drain (None); a positive
-   count sizes the pool; anything else is rejected loudly instead of
-   silently falling back to serial. The variable is restored afterwards
+(* ROLL_DOMAINS: unset or empty means the default one-slot pool (None); a
+   positive count sizes the pool; anything else is rejected loudly
+   instead of silently falling back to one slot. The variable is restored afterwards
    (to empty when it was unset: the same meaning). *)
 let test_env_domains () =
   let saved = Sys.getenv_opt "ROLL_DOMAINS" in
