@@ -209,7 +209,7 @@ let cache_hits c = c.build_hits + c.window_hits
 
 (* Scan through the cache: the materialized rows of an already-visited
    delta window are replayed from the cache instead of re-walking the
-   delta's timestamp index. Base tables always scan live (their cursors
+   delta in timestamp order. Base tables always scan live (their cursors
    are already lazy and their hash builds are cached separately). *)
 let cached_scan cache (src : source) () =
   match cache with

@@ -709,13 +709,18 @@ let drain_items ?(full = false) t ~budget ~step ~capture_run ~wave_step
     let owner = ref 0 in
     let member slot (s : Scheduler.scored) =
       match (s.Scheduler.item, s.Scheduler.window) with
-      | Scheduler.Propagate_step { view; relation }, Some (table, lo, hi) ->
-          (* Pre-build the lazy timestamp index the step will read: window
-             reads rebuild stale indexes in place, which is only safe
-             before the workers start sharing the deltas read-only. *)
-          Delta.freshen (Capture.delta t.capture ~table);
+      | Scheduler.Propagate_step { view; relation }, Some (_, lo, hi) ->
           let entry = find t view in
           let ctx = Controller.ctx entry.controller in
+          (* The step's forward query reads one source's capture delta and
+             its compensations read all the others'. A read of an
+             out-of-order delta merges its index in place, so index every
+             one of them here, before the workers share them read-only. *)
+          let view_def = ctx.Ctx.view in
+          for i = 0 to View.n_sources view_def - 1 do
+            let table = View.source_table view_def i in
+            Delta.freshen (Capture.delta t.capture ~table)
+          done;
           ctx.Ctx.memo_owner <- !owner;
           incr owner;
           {

@@ -8,8 +8,16 @@
 
     Base-table deltas are appended in commit order, but view deltas are not:
     a compensation query executed late adds rows with old timestamps. The
-    table therefore keeps rows in arrival order and maintains a lazily
-    rebuilt timestamp-sorted index for window queries. *)
+    table therefore keeps rows in arrival order. While arrival order is
+    timestamp order (every capture delta, and a view delta until its first
+    out-of-order row) there is no index: window bounds are binary searches
+    over the rows, and reads never mutate the table. From the first
+    out-of-order row on, a timestamp-sorted index of row positions is kept
+    and extended incrementally: a read first merges in the rows appended
+    since the last read, costing O(k log k + rows displaced) for k new rows.
+    Either way a window read costs O(log n + rows returned), and
+    {!window_count}, {!min_ts} and {!max_ts} cost O(log n), whatever the
+    history length. *)
 
 type row = { tuple : Roll_relation.Tuple.t; count : int; ts : Time.t }
 
@@ -58,17 +66,24 @@ val window_iter : t -> lo:Time.t -> hi:Time.t -> (row -> unit) -> unit
 val window_cursor : t -> lo:Time.t -> hi:Time.t -> Roll_relation.Cursor.t
 (** σ_{lo,hi}(d) as a lazy pull cursor, in timestamp order — the delta-side
     source of the execution pipeline. Rows are produced on demand; rewinding
-    restarts the window (and picks up a rebuilt index if rows were appended
-    in between). *)
+    restarts the window (and picks up rows appended in between). Appending
+    to [d] while one of its windows is being read invalidates that read;
+    rewind to restart it. *)
 
 val window_count : t -> lo:Time.t -> hi:Time.t -> int
+(** The number of rows in σ_{lo,hi}(d): two binary searches, no row is
+    visited. *)
 
 val freshen : t -> unit
-(** Rebuild the lazy timestamp index now if it is stale. Window reads
-    normally rebuild it on demand — a read-side mutation that is unsafe
-    under concurrent readers. A parallel drain calls [freshen] on every
-    delta a wave will read {e before} dispatching, after which concurrent
-    window reads are pure (no appends happen mid-wave). *)
+(** Merge the rows appended since the last read into the timestamp index
+    now. A no-op on a delta whose rows arrived in timestamp order (it has no
+    index), so reads of such a delta are always pure. On an out-of-order
+    delta, a read merges its unindexed rows in place — a read-side mutation
+    that is unsafe under concurrent readers of the same delta. Invariant of
+    the parallel drain: before a wave is dispatched, [freshen] has run on
+    every delta a member will read (the capture deltas of all its view's
+    sources), and no delta that another slot reads is appended to mid-wave,
+    so every concurrent window read is pure. *)
 
 val net_effect : t -> lo:Time.t -> hi:Time.t -> Roll_relation.Relation.t
 (** φ(σ_{lo,hi}(d)): the window collapsed to net counts. *)
@@ -80,13 +95,14 @@ val apply_window :
 
 val prune : t -> upto:Time.t -> int
 (** [prune d ~upto] removes rows with [ts <= upto] (already applied and no
-    longer needed) and returns how many were removed. *)
+    longer needed) and returns how many were removed. They are a prefix of
+    the timestamp index, so no re-sort is needed: O(n). *)
 
 val compact : t -> int
 (** Merge rows with identical tuple and timestamp by summing their counts
     (a forward query and a compensation often contribute exactly cancelling
     rows). Every window σ_{a,b} is unchanged; returns the number of rows
-    eliminated. *)
+    eliminated. The only operation that rebuilds the index from scratch. *)
 
 val copy : t -> t
 

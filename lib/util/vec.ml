@@ -37,6 +37,15 @@ let pop v =
 
 let clear v = v.len <- 0
 
+let truncate v n =
+  if n < v.len then begin
+    let n = max 0 n in
+    (* Overwrite the dropped slots so what they held becomes garbage. *)
+    if n = 0 then v.data <- [||]
+    else Array.fill v.data n (v.len - n) v.data.(0);
+    v.len <- n
+  end
+
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)

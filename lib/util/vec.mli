@@ -30,6 +30,11 @@ val pop : 'a t -> 'a option
 
 val clear : 'a t -> unit
 
+val truncate : 'a t -> int -> unit
+(** [truncate v n] keeps the first [n] elements of [v]; no-op when
+    [length v <= n]. The dropped elements are no longer reachable from
+    [v]. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

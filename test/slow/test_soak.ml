@@ -121,9 +121,101 @@ let test_process_handoff () =
     (C.Oracle.check_timed_view_delta s.history s.view ctx.C.Ctx.out
        ~lo:Time.origin ~hi:(C.Rolling.hwm rolling))
 
+(* Steady cost over a long run: 20 000 commits on a fleet-like service
+   (sibling views over one star's fact table, sharing on), drained every
+   100 commits. The last 1 000-commit block may allocate at most 1.5x what
+   the second one did. Inserts and deletes are balanced, so the base
+   tables keep their size, and no gc runs, so every delta keeps its whole
+   history: only a drain whose cost grows with that history fails (a full
+   re-sort of a delta per window read did, 4.8x). It counts allocated
+   words rather than CPU time, so a busy host cannot make it flaky. *)
+let test_allocation_flat () =
+  let module W = Roll_workload in
+  let module P = Roll_relation.Predicate in
+  let star =
+    W.Star.create
+      {
+        W.Star.n_dimensions = 2;
+        dim_size = 400;
+        fact_initial = 6_000;
+        zipf_theta = 0.3;
+        fact_insert_bias = 0.5;
+        seed = 19;
+      }
+  in
+  W.Star.load_initial star;
+  let db = W.Star.db star in
+  let service =
+    C.Service.create ~sharing:true ~auxiliary:false ~hotset:false ~domains:1
+      db (W.Star.capture star)
+  in
+  C.Service.set_gc_threshold service max_int;
+  let fact = W.Star.fact_table star in
+  let view ?filter name ~dim ~fa ~da =
+    let sources = [ (fact, fa); (W.Star.dim_table star dim, da) ] in
+    let b = C.View.binder db sources in
+    let join = P.join (b fa (Printf.sprintf "d%d_key" dim)) (b da "key") in
+    let predicate =
+      match filter with
+      | None -> [ join ]
+      | Some bound ->
+          [
+            join;
+            P.cmp P.Lt (P.Col (b fa "measure"))
+              (P.Const (Roll_relation.Value.Int bound));
+          ]
+    in
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.per_relation [| 8; 32 |]))
+      (C.View.create db ~name ~sources ~predicate
+         ~project:[ b fa "measure"; b da "key"; b da "attr" ])
+  in
+  let views =
+    [
+      view "fleet_a" ~dim:0 ~fa:"f" ~da:"d";
+      view "fleet_b" ~dim:0 ~fa:"ff" ~da:"dd";
+      view "fleet_c" ~dim:1 ~fa:"f" ~da:"d";
+      view "fleet_lo" ~filter:3 ~dim:0 ~fa:"f" ~da:"d";
+    ]
+  in
+  let drain () =
+    let target = Database.now db in
+    let stalled = ref 0 in
+    while
+      List.exists (fun ctl -> C.Controller.hwm ctl < target) views
+    do
+      match C.Service.maintain service ~budget:64 with
+      | Ok 0 ->
+          incr stalled;
+          if !stalled > 10_000 then Alcotest.fail "maintain stalled"
+      | Ok _ -> stalled := 0
+      | Error _ -> Alcotest.fail "maintain failed"
+    done
+  in
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let block () =
+    let before = allocated () in
+    for _ = 1 to 10 do
+      W.Star.mixed_txns star ~n:100 ~dim_fraction:0.05;
+      drain ()
+    done;
+    allocated () -. before
+  in
+  let blocks = Array.init 20 (fun _ -> block ()) in
+  let second = blocks.(1) and last = blocks.(19) in
+  if last > 1.5 *. second then
+    Alcotest.failf
+      "last 1 000 commits allocated %.1f Mwords, %.2fx the second block's %.1f"
+      (last /. 1e6) (last /. second) (second /. 1e6)
+
 let suite =
   [
     Alcotest.test_case "adversarial schedule, 60 rounds" `Slow test_adversarial_schedule;
     Alcotest.test_case "soak with restarts" `Slow test_soak_with_restarts;
     Alcotest.test_case "Propagate -> Rolling handoff" `Quick test_process_handoff;
+    Alcotest.test_case "20k commits: allocation per 1k commits stays flat"
+      `Slow test_allocation_flat;
   ]

@@ -202,7 +202,7 @@ let prop_compact_preserves_windows =
       !ok)
 
 (* A shared window cursor outlives the drain that built it: rewinding after
-   concurrent appends must restart over the delta's rebuilt index, seeing
+   concurrent appends must restart over the delta's extended index, seeing
    rows that landed (inside the window, out of timestamp order) after the
    first drain. *)
 let test_window_cursor_rewind_after_append () =
@@ -226,4 +226,238 @@ let suite =
       qtest prop_compact_preserves_windows;
       Alcotest.test_case "window cursor rewind after appends" `Quick
         test_window_cursor_rewind_after_append;
+    ]
+
+(* Reference model: random sequences of in-order and out-of-order appends,
+   truncate, prune and compact, interleaved with every read, each checked
+   against a naive model that keeps the rows in arrival order and sorts
+   everything on every read. *)
+type op =
+  | Append_in_order of int * int * int  (** key, count, ts step *)
+  | Append_late of int * int * int  (** key, count, ts back-step *)
+  | Truncate of int  (** rows to drop, modulo the length *)
+  | Prune of int
+  | Compact
+  | Window of int * int
+  | Rewind of int  (** which open cursor *)
+  | Stats  (** min_ts, max_ts, length and the unbounded count *)
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun k c s -> Append_in_order (k, c, s))
+            (int_range 0 3) (int_range (-2) 2) (int_range 0 2) );
+        ( 3,
+          map3
+            (fun k c s -> Append_late (k, c, s))
+            (int_range 0 3) (int_range (-2) 2) (int_range 1 8) );
+        (1, map (fun n -> Truncate n) (int_range 0 4));
+        (1, map (fun t -> Prune t) (int_range 0 40));
+        (1, return Compact);
+        (3, map2 (fun a b -> Window (a, b)) (int_range (-1) 42) (int_range 0 42));
+        (2, map (fun i -> Rewind i) (int_range 0 3));
+        (1, return Stats);
+      ])
+
+let print_op = function
+  | Append_in_order (k, c, s) -> Printf.sprintf "in(%d,%+d,+%d)" k c s
+  | Append_late (k, c, s) -> Printf.sprintf "late(%d,%+d,-%d)" k c s
+  | Truncate n -> Printf.sprintf "truncate-%d" n
+  | Prune t -> Printf.sprintf "prune<=%d" t
+  | Compact -> "compact"
+  | Window (a, b) -> Printf.sprintf "window(%d,%d]" a b
+  | Rewind i -> Printf.sprintf "rewind#%d" i
+  | Stats -> "stats"
+
+let ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map print_op ops))
+    QCheck.Gen.(list_size (0 -- 80) op_gen)
+
+let key_of tuple =
+  match Tuple.get tuple 0 with Value.Int k -> k | _ -> assert false
+
+let cursor_triples c =
+  List.map
+    (fun (r : Cursor.row) -> (key_of r.tuple, r.count, r.ts))
+    (Cursor.to_list c)
+
+(* The model's window: a stable sort of all rows, then a filter. *)
+let model_window rows ~lo ~hi =
+  List.stable_sort (fun (_, _, a) (_, _, b) -> Int.compare a b) rows
+  |> List.filter (fun (_, _, ts) -> lo < ts && ts <= hi)
+
+let model_compact rows =
+  let merged =
+    List.fold_left
+      (fun acc (k, c, ts) ->
+        if List.exists (fun (k', _, ts') -> k = k' && ts = ts') acc then
+          List.map
+            (fun ((k', c', ts') as r) ->
+              if k = k' && ts = ts' then (k', c' + c, ts') else r)
+            acc
+        else acc @ [ (k, c, ts) ])
+      [] rows
+  in
+  List.filter (fun (_, c, _) -> c <> 0) merged
+
+let prop_reference_model =
+  QCheck.Test.make ~name:"delta index matches a sort-everything model"
+    ~count:500 ops_arb (fun ops ->
+      let d = Delta.create schema in
+      let model = ref [] (* arrival order *) and clock = ref 1 in
+      let cursors = ref [] in
+      let triples rows =
+        List.map (fun (r : Delta.row) -> (key_of r.tuple, r.count, r.ts)) rows
+      in
+      let fail what =
+        QCheck.Test.fail_reportf "%s disagrees with the model after [%s]" what
+          (String.concat " " (List.map print_op ops))
+      in
+      let check_window ~lo ~hi got =
+        if got <> model_window !model ~lo ~hi then
+          fail (Printf.sprintf "window (%d,%d]" lo hi)
+      in
+      let append k c ts =
+        Delta.append d (Tuple.ints [ k ]) ~count:c ~ts;
+        if c <> 0 then model := !model @ [ (k, c, ts) ]
+      in
+      let max_model () =
+        List.fold_left (fun m (_, _, ts) -> max m ts) min_int !model
+      in
+      let check_stats () =
+        let tss = List.map (fun (_, _, ts) -> ts) !model in
+        let opt f =
+          match tss with [] -> None | x :: xs -> Some (List.fold_left f x xs)
+        in
+        if Delta.min_ts d <> opt min then fail "min_ts";
+        if Delta.max_ts d <> opt max then fail "max_ts";
+        if Delta.length d <> List.length !model then fail "length";
+        if Delta.window_count d ~lo:min_int ~hi:max_int <> List.length !model
+        then fail "full window_count"
+      in
+      (* Reads run only where an op asks for them, so several appends can
+         build up an unindexed tail before the next read merges it. *)
+      List.iter
+        (function
+          | Append_in_order (k, c, s) ->
+              clock := max !clock (max_model ()) + s;
+              append k c !clock
+          | Append_late (k, c, s) -> append k c (max 1 (!clock - s))
+          | Truncate n ->
+              let len = List.length !model in
+              let keep = len - (n mod (len + 1)) in
+              Delta.truncate d keep;
+              model := List.filteri (fun i _ -> i < keep) !model
+          | Prune upto ->
+              let dropped = Delta.prune d ~upto in
+              let kept = List.filter (fun (_, _, ts) -> ts > upto) !model in
+              if dropped <> List.length !model - List.length kept then
+                fail "prune count";
+              model := kept
+          | Compact ->
+              let removed = Delta.compact d in
+              let merged = model_compact !model in
+              if removed <> List.length !model - List.length merged then
+                fail "compact count";
+              model := merged
+          | Window (lo, hi) ->
+              check_window ~lo ~hi (triples (Delta.window d ~lo ~hi));
+              if
+                Delta.window_count d ~lo ~hi
+                <> List.length (model_window !model ~lo ~hi)
+              then fail (Printf.sprintf "window_count (%d,%d]" lo hi);
+              let c = Delta.window_cursor d ~lo ~hi in
+              check_window ~lo ~hi (cursor_triples c);
+              cursors := (c, lo, hi) :: !cursors
+          | Rewind i -> (
+              match List.nth_opt !cursors i with
+              | None -> ()
+              | Some (c, lo, hi) ->
+                  Cursor.rewind c;
+                  check_window ~lo ~hi (cursor_triples c))
+          | Stats -> check_stats ())
+        ops;
+      check_stats ();
+      true)
+
+(* Words allocated by [f]: minor allocations plus direct major ones. *)
+let allocated_words f =
+  let before = Gc.quick_stat () in
+  f ();
+  let after = Gc.quick_stat () in
+  let total (s : Gc.stat) = s.minor_words +. s.major_words -. s.promoted_words in
+  total after -. total before
+
+let alloc_n = 20_000
+
+(* Per append plus its read: the row record, amortized vector growth and,
+   out of order, the one-row tail merged in. Rebuilding and re-sorting the
+   whole index per read allocated about 50 000 words per append here. *)
+let alloc_bound_per_row = 64.
+
+let check_alloc_linear what rows =
+  let d = Delta.create schema in
+  let words =
+    allocated_words (fun () ->
+        Array.iter
+          (fun (tuple, ts) ->
+            Delta.append d tuple ~count:1 ~ts;
+            ignore (Delta.window_count d ~lo:(ts - 100) ~hi:ts))
+          rows)
+  in
+  let per_row = words /. float_of_int alloc_n in
+  if per_row > alloc_bound_per_row then
+    Alcotest.failf "%s: %.0f words per append+count (bound %.0f)" what per_row
+      alloc_bound_per_row
+
+let test_alloc_in_order () =
+  let rows = Array.init alloc_n (fun i -> (Tuple.ints [ i mod 7 ], i + 1)) in
+  check_alloc_linear "in-order appends" rows
+
+(* A view-like stream: one row in four lands up to 63 timestamps late. *)
+let test_alloc_view_like () =
+  let rng = Random.State.make [| 19 |] in
+  let rows =
+    Array.init alloc_n (fun i ->
+        let late =
+          if Random.State.int rng 4 = 0 then Random.State.int rng 64 else 0
+        in
+        (Tuple.ints [ i mod 7 ], max 1 (i + 1 - late)))
+  in
+  check_alloc_linear "out-of-order appends within the last 64" rows
+
+(* Pruned rows must become garbage: a gc that keeps them reachable from
+   the delta's spare capacity frees nothing. *)
+let test_prune_releases_rows () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let d = Delta.create schema in
+  let before = live () in
+  for i = 1 to 50_000 do
+    Delta.append d (Tuple.ints [ i ]) ~count:1 ~ts:i
+  done;
+  let full = live () in
+  Alcotest.(check int) "pruned" 49_900 (Delta.prune d ~upto:49_900);
+  let after = live () in
+  if after - before > (full - before) / 4 then
+    Alcotest.failf "live words: %d before, %d full, %d after the prune" before
+      full after;
+  Alcotest.(check int) "rows left" 100 (Delta.window_count d ~lo:0 ~hi:max_int)
+
+let suite =
+  suite
+  @ [
+      qtest prop_reference_model;
+      Alcotest.test_case "pruned rows are released" `Quick
+        test_prune_releases_rows;
+      Alcotest.test_case "in-order appends allocate O(n)" `Quick
+        test_alloc_in_order;
+      Alcotest.test_case "late appends within 64 allocate O(n)" `Quick
+        test_alloc_view_like;
     ]
