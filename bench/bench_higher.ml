@@ -25,6 +25,7 @@ module Tuple = Roll_relation.Tuple
 module Predicate = Roll_relation.Predicate
 module Tablefmt = Roll_util.Tablefmt
 module C = Roll_core
+module Json = Roll_util.Json
 
 (* fact grows 10x across the measured points; dim stays fixed, so the
    change stream the steps process is the same size at every point. *)
@@ -156,17 +157,21 @@ let run_point ~aux ~fact_rows =
      the auxiliary fresh. *)
   ignore (C.Service.step_all service ~budget:max_int);
   C.Service.refresh_all service;
-  let aux_stats =
+  let aux_counters =
     List.filter_map
       (fun (part : C.Partial.part) ->
         if part.C.Partial.key = None then
-          Some (C.Controller.stats (C.Partial.controller part))
+          Some (C.Controller.counters (C.Partial.controller part))
         else None)
       (C.Partial.entries (C.Service.partials service))
   in
-  let stats = C.Controller.stats ctl in
-  let total f = List.fold_left (fun acc st -> acc + f st) (f stats) aux_stats in
-  let q0 = total C.Stats.queries and r0 = total C.Stats.rows_read in
+  let counters = C.Controller.counters ctl in
+  let total c =
+    List.fold_left
+      (fun acc cs -> acc + C.Counters.count cs c)
+      (C.Counters.count counters c) aux_counters
+  in
+  let q0 = total C.Counters.queries and r0 = total C.Counters.rows_read in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to churn_rounds do
     for _ = 1 to txns_per_round do
@@ -176,8 +181,8 @@ let run_point ~aux ~fact_rows =
   done;
   C.Service.refresh_all service;
   let wall_s = Unix.gettimeofday () -. t0 in
-  let queries = C.Stats.queries stats + List.fold_left (fun a st -> a + C.Stats.queries st) 0 aux_stats - q0 in
-  let rows_read = total C.Stats.rows_read - r0 in
+  let queries = total C.Counters.queries - q0 in
+  let rows_read = total C.Counters.rows_read - r0 in
   let contents = C.Controller.contents ctl in
   let oracle_ok =
     Relation.equal
@@ -194,8 +199,8 @@ let run_point ~aux ~fact_rows =
         (if queries > 0 then float_of_int rows_read /. float_of_int queries
          else 0.);
       wall_s;
-      aux_hits = C.Stats.aux_hits stats;
-      aux_misses = C.Stats.aux_misses stats;
+      aux_hits = C.Counters.count counters C.Counters.aux_hits;
+      aux_misses = C.Counters.count counters C.Counters.aux_misses;
       view_rows = Relation.distinct_count contents;
       oracle_ok;
       contents;
@@ -205,13 +210,20 @@ let run_point ~aux ~fact_rows =
   point
 
 let json_of_point p identical =
-  Printf.sprintf
-    "    {\"fact_rows\": %d, \"aux\": %b, \"queries\": %d, \"rows_read\": \
-     %d, \"rows_per_query\": %.2f,\n\
-     \     \"wall_s\": %.4f, \"aux_hits\": %d, \"aux_misses\": %d, \
-     \"view_rows\": %d, \"oracle_ok\": %b, \"contents_identical\": %b}"
-    p.fact_rows p.aux p.queries p.rows_read p.rows_per_query p.wall_s
-    p.aux_hits p.aux_misses p.view_rows p.oracle_ok identical
+  Json.Obj
+    [
+      ("fact_rows", Json.Int p.fact_rows);
+      ("aux", Json.Bool p.aux);
+      ("queries", Json.Int p.queries);
+      ("rows_read", Json.Int p.rows_read);
+      ("rows_per_query", Json.fixed 2 p.rows_per_query);
+      ("wall_s", Json.fixed 4 p.wall_s);
+      ("aux_hits", Json.Int p.aux_hits);
+      ("aux_misses", Json.Int p.aux_misses);
+      ("view_rows", Json.Int p.view_rows);
+      ("oracle_ok", Json.Bool p.oracle_ok);
+      ("contents_identical", Json.Bool identical);
+    ]
 
 let run () =
   let pairs =
@@ -288,23 +300,19 @@ let run () =
     (List.fold_left max 1 fact_sizes / List.fold_left min max_int fact_sizes)
     on_growth off_growth;
   let path = "BENCH_higher_order.json" in
-  let oc = open_out path in
-  output_string oc
-    ("{\n  \"benchmark\": \"higher_order\",\n  " ^ Exp_common.meta_json ()
-   ^ ",\n");
-  output_string oc
-    (Printf.sprintf
-       "  \"dim_rows\": %d, \"hot_tag\": %d, \"churn_txns\": %d, \
-        \"on_growth\": %.2f, \"off_growth\": %.2f,\n"
-       dim_rows hot_tag (churn_rounds * txns_per_round) on_growth off_growth);
-  output_string oc "  \"points\": [\n";
-  output_string oc
-    (String.concat ",\n"
-       (List.concat_map
-          (fun (on, off) ->
-            let identical = Relation.equal on.contents off.contents in
-            [ json_of_point on identical; json_of_point off identical ])
-          pairs));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
+  Exp_common.write_json path ~benchmark:"higher_order"
+    [
+      ("dim_rows", Json.Int dim_rows);
+      ("hot_tag", Json.Int hot_tag);
+      ("churn_txns", Json.Int (churn_rounds * txns_per_round));
+      ("on_growth", Json.fixed 2 on_growth);
+      ("off_growth", Json.fixed 2 off_growth);
+      ( "points",
+        Json.List
+          (List.concat_map
+             (fun (on, off) ->
+               let identical = Relation.equal on.contents off.contents in
+               [ json_of_point on identical; json_of_point off identical ])
+             pairs) );
+    ];
   Printf.printf "  wrote %s\n" path

@@ -8,6 +8,7 @@ module Time = Roll_delta.Time
 module Database = Roll_storage.Database
 module C = Roll_core
 module W = Roll_workload
+module Json = Roll_util.Json
 
 type measurement = {
   workload : string;
@@ -23,26 +24,32 @@ let rows_per_sec m =
   if m.wall_s > 0. then float_of_int m.rows_emitted /. m.wall_s else 0.
 
 let json_of_measurement m =
-  Printf.sprintf
-    "    {\"workload\": \"%s\", \"query\": \"%s\", \"rows_emitted\": %d, \
-     \"rows_scanned\": %d, \"rows_probed\": %d, \"hash_builds\": %d, \
-     \"wall_s\": %.6f, \"rows_per_sec\": %.1f}"
-    m.workload m.query m.rows_emitted m.rows_scanned m.rows_probed
-    m.hash_builds m.wall_s (rows_per_sec m)
+  Json.Obj
+    [
+      ("workload", Json.Str m.workload);
+      ("query", Json.Str m.query);
+      ("rows_emitted", Json.Int m.rows_emitted);
+      ("rows_scanned", Json.Int m.rows_scanned);
+      ("rows_probed", Json.Int m.rows_probed);
+      ("hash_builds", Json.Int m.hash_builds);
+      ("wall_s", Json.fixed 6 m.wall_s);
+      ("rows_per_sec", Json.fixed 1 (rows_per_sec m));
+    ]
 
-(* Run [q] in a fresh-stats context and read the pipeline counters back. *)
+(* Run [q] with the context's counters reset and read them back. *)
 let measure ~workload ~query ctx q =
-  C.Stats.reset ctx.C.Ctx.stats;
+  let counters = ctx.C.Ctx.counters in
+  C.Counters.reset counters;
   let rows, _reads = C.Executor.evaluate ctx q in
-  let stats = ctx.C.Ctx.stats in
+  let count c = C.Counters.count counters c in
   {
     workload;
     query;
     rows_emitted = List.length rows;
-    rows_scanned = C.Stats.rows_scanned stats;
-    rows_probed = C.Stats.rows_probed stats;
-    hash_builds = C.Stats.hash_builds stats;
-    wall_s = C.Stats.exec_wall stats;
+    rows_scanned = count C.Counters.rows_scanned;
+    rows_probed = count C.Counters.rows_probed;
+    hash_builds = count C.Counters.hash_builds;
+    wall_s = C.Counters.get counters C.Counters.exec_wall;
   }
 
 (* Drive the forward query with the source that saw the most changes. *)
@@ -102,14 +109,8 @@ let tpch_measurements () =
 let run () =
   let measurements = star_measurements () @ tpch_measurements () in
   let path = "BENCH_executor.json" in
-  let oc = open_out path in
-  output_string oc
-    ("{\n  \"benchmark\": \"executor\",\n  " ^ Exp_common.meta_json ()
-   ^ ",\n  \"measurements\": [\n");
-  output_string oc
-    (String.concat ",\n" (List.map json_of_measurement measurements));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
+  Exp_common.write_json path ~benchmark:"executor"
+    [ ("measurements", Json.List (List.map json_of_measurement measurements)) ];
   List.iter
     (fun m ->
       Printf.printf "  %s/%s: %d rows, %.0f rows/sec, %d scanned + %d probed\n"

@@ -8,6 +8,7 @@ module Clock = Roll_obs.Clock
 module Obs = Roll_obs.Obs
 module C = Roll_core
 module W = Roll_workload
+module Json = Roll_util.Json
 
 (* All bench wall-time reads go through the injectable clock, not raw
    Unix.gettimeofday (see DESIGN.md section 14). *)
@@ -67,20 +68,15 @@ let run () =
     if untraced > 0. then (traced -. untraced) /. untraced *. 100. else 0.
   in
   let path = "BENCH_obs.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"obs\",\n\
-    \  %s,\n\
-    \  \"workload\": \"star\",\n\
-    \  \"untraced_drain_s\": %.6f,\n\
-    \  \"traced_drain_s\": %.6f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"target_overhead_pct\": 5.0,\n\
-    \  \"spans_recorded\": %d\n\
-     }\n"
-    (Exp_common.meta_json ()) untraced traced overhead_pct spans;
-  close_out oc;
+  Exp_common.write_json path ~benchmark:"obs"
+    [
+      ("workload", Json.Str "star");
+      ("untraced_drain_s", Json.fixed 6 untraced);
+      ("traced_drain_s", Json.fixed 6 traced);
+      ("overhead_pct", Json.fixed 2 overhead_pct);
+      ("target_overhead_pct", Json.Float 5.0);
+      ("spans_recorded", Json.Int spans);
+    ];
   Printf.printf
     "  star drain: untraced %.3fms, traced %.3fms, overhead %.2f%% \
      (target <5%%), %d spans\n\

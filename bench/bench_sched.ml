@@ -19,22 +19,31 @@ module Des = Roll_sim.Des
 module Contention = Roll_sim.Contention
 module Predicate = Roll_relation.Predicate
 module Relation = Roll_relation.Relation
+module Json = Roll_util.Json
 
 let json_of_view (v : S.view_metrics) =
-  Printf.sprintf
-    "        {\"view\": \"%s\", \"sla\": %d, \"max_staleness\": %d, \
-     \"mean_staleness\": %.2f, \"violations\": %d}"
-    v.S.view v.S.sla v.S.max_staleness v.S.mean_staleness v.S.violations
+  Json.Obj
+    [
+      ("view", Json.Str v.S.view);
+      ("sla", Json.Int v.S.sla);
+      ("max_staleness", Json.Int v.S.max_staleness);
+      ("mean_staleness", Json.fixed 2 v.S.mean_staleness);
+      ("violations", Json.Int v.S.violations);
+    ]
 
 let json_of_result (r : S.policy_result) =
-  Printf.sprintf
-    "    {\"policy\": \"%s\", \"total_steps\": %d, \"max_staleness\": %d, \
-     \"mean_staleness\": %.2f, \"deferred\": %d, \"backpressured\": %d, \
-     \"des_makespan\": %.2f, \"des_update_wait_p95\": %.4f,\n\
-     \     \"views\": [\n%s\n     ]}"
-    r.S.policy r.S.total_steps r.S.max_staleness r.S.mean_staleness
-    r.S.deferred r.S.backpressured r.S.makespan r.S.update_wait_p95
-    (String.concat ",\n" (List.map json_of_view r.S.views))
+  Json.Obj
+    [
+      ("policy", Json.Str r.S.policy);
+      ("total_steps", Json.Int r.S.total_steps);
+      ("max_staleness", Json.Int r.S.max_staleness);
+      ("mean_staleness", Json.fixed 2 r.S.mean_staleness);
+      ("deferred", Json.Int r.S.deferred);
+      ("backpressured", Json.Int r.S.backpressured);
+      ("des_makespan", Json.fixed 2 r.S.makespan);
+      ("des_update_wait_p95", Json.fixed 4 r.S.update_wait_p95);
+      ("views", Json.List (List.map json_of_view r.S.views));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Multicore drain throughput: domains=1/2/4 on the star workload.      *)
@@ -104,6 +113,7 @@ let run_star_drain ~domains =
                  (C.Rolling.per_relation [| fact_interval; 64 |]))
             v
         in
+        C.Ctx.keep_footprints (C.Controller.ctx ctl);
         (* Stagger the next view's materialization past this window. *)
         W.Star.mixed_txns star ~n:stagger_gap ~dim_fraction:0.05;
         ctl)
@@ -119,10 +129,10 @@ let run_star_drain ~domains =
          (fun dim ctl ->
            List.map
              (fun fp -> (Printf.sprintf "star%d" dim, fp))
-             (C.Stats.footprints (C.Controller.stats ctl)))
+             (C.Ctx.footprints (C.Controller.ctx ctl)))
          ctls)
-    |> List.sort (fun (_, (a : C.Stats.footprint)) (_, b) ->
-           compare a.C.Stats.exec b.C.Stats.exec)
+    |> List.sort (fun (_, (a : C.Ctx.footprint)) (_, b) ->
+           compare a.C.Ctx.exec b.C.Ctx.exec)
   in
   let contents =
     List.map
@@ -145,10 +155,10 @@ let run_star_drain ~domains =
    clock above reports what the current host's cores actually allowed. *)
 let des_drain_makespan footprints ~lanes =
   let costs = Contention.default_costs in
-  let duration (fp : C.Stats.footprint) =
+  let duration (fp : C.Ctx.footprint) =
     let rows =
-      List.fold_left (fun acc (_, n) -> acc + n) 0 fp.C.Stats.reads
-      + fp.C.Stats.emitted
+      List.fold_left (fun acc (_, n) -> acc + n) 0 fp.C.Ctx.reads
+      + fp.C.Ctx.emitted
     in
     costs.Contention.base_cost
     +. (costs.Contention.per_row *. float_of_int rows)
@@ -192,13 +202,21 @@ let run_domains_axis () =
     [ 1; 2; 4 ]
 
 let json_of_domains_point ~wall_base ~des_base p =
-  Printf.sprintf
-    "    {\"domains\": %d, \"steps\": %d, \"wall_s\": %.4f, \"throughput_steps_per_s\":      %.1f, \"speedup_vs_domains1\": %.2f, \"des_makespan\": %.4f, \"des_throughput_steps_per_s\": %.1f, \"des_speedup_vs_domains1\": %.2f, \"identical_to_serial\": %b}"
-    p.domains p.steps p.wall_s p.throughput
-    (if wall_base > 0. then p.throughput /. wall_base else 0.)
-    p.des_makespan p.des_throughput
-    (if des_base > 0. then p.des_throughput /. des_base else 0.)
-    p.identical
+  Json.Obj
+    [
+      ("domains", Json.Int p.domains);
+      ("steps", Json.Int p.steps);
+      ("wall_s", Json.fixed 4 p.wall_s);
+      ("throughput_steps_per_s", Json.fixed 1 p.throughput);
+      ( "speedup_vs_domains1",
+        Json.fixed 2 (if wall_base > 0. then p.throughput /. wall_base else 0.) );
+      ("des_makespan", Json.fixed 4 p.des_makespan);
+      ("des_throughput_steps_per_s", Json.fixed 1 p.des_throughput);
+      ( "des_speedup_vs_domains1",
+        Json.fixed 2 (if des_base > 0. then p.des_throughput /. des_base else 0.)
+      );
+      ("identical_to_serial", Json.Bool p.identical);
+    ]
 
 let run () =
   let results = S.run () in
@@ -207,18 +225,14 @@ let run () =
   let des_base = match points with p :: _ -> p.des_throughput | [] -> 0. in
   let cores = Domain.recommended_domain_count () in
   let path = "BENCH_scheduler.json" in
-  let oc = open_out path in
-  output_string oc
-    ("{\n  \"benchmark\": \"scheduler\",\n  " ^ Exp_common.meta_json () ^ ",\n");
-  output_string oc (Printf.sprintf "  \"cores\": %d,\n" cores);
-  output_string oc "  \"policies\": [\n";
-  output_string oc (String.concat ",\n" (List.map json_of_result results));
-  output_string oc "\n  ],\n  \"domains\": [\n";
-  output_string oc
-    (String.concat ",\n"
-       (List.map (json_of_domains_point ~wall_base ~des_base) points));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
+  Exp_common.write_json path ~benchmark:"scheduler"
+    [
+      ("cores", Json.Int cores);
+      ("policies", Json.List (List.map json_of_result results));
+      ( "domains",
+        Json.List (List.map (json_of_domains_point ~wall_base ~des_base) points)
+      );
+    ];
   List.iter (fun r -> Format.printf "  @[%a@]@." S.pp_result r) results;
   List.iter
     (fun p ->

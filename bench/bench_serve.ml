@@ -19,6 +19,7 @@ module W = Roll_workload
 module Database = Roll_storage.Database
 module Summary = Roll_util.Summary
 module Prng = Roll_util.Prng
+module Json = Roll_util.Json
 
 let budget = 48
 
@@ -166,27 +167,40 @@ let run_point ~clients ~txns_per_round ~rounds =
   }
 
 let json_of_point p =
-  Printf.sprintf
-    "    {\"clients\": %d, \"update_rate\": %d, \"rounds\": %d, \"reads\": \
-     %d, \"queued\": %d, \"rejected\": %d, \"wait_p50_ms\": %.3f, \
-     \"wait_p95_ms\": %.3f, \"wait_p99_ms\": %.3f, \"wait_rounds_p95\": \
-     %.1f, \"staleness_p50\": %.1f, \"staleness_p95\": %.1f, \"lag_mean\": \
-     %.1f, \"wall_s\": %.2f}"
-    p.clients p.txns_per_round p.rounds p.reads p.queued p.rejected
-    p.wait_p50_ms p.wait_p95_ms p.wait_p99_ms p.wait_rounds_p95
-    p.staleness_p50 p.staleness_p95 p.lag_mean p.wall_s
+  Json.Obj
+    [
+      ("clients", Json.Int p.clients);
+      ("update_rate", Json.Int p.txns_per_round);
+      ("rounds", Json.Int p.rounds);
+      ("reads", Json.Int p.reads);
+      ("queued", Json.Int p.queued);
+      ("rejected", Json.Int p.rejected);
+      ("wait_p50_ms", Json.fixed 3 p.wait_p50_ms);
+      ("wait_p95_ms", Json.fixed 3 p.wait_p95_ms);
+      ("wait_p99_ms", Json.fixed 3 p.wait_p99_ms);
+      ("wait_rounds_p95", Json.fixed 1 p.wait_rounds_p95);
+      ("staleness_p50", Json.fixed 1 p.staleness_p50);
+      ("staleness_p95", Json.fixed 1 p.staleness_p95);
+      ("lag_mean", Json.fixed 1 p.lag_mean);
+      ("wall_s", Json.fixed 2 p.wall_s);
+    ]
 
 let json_of_model ~clients ~update_rate (r : Roll_sim.Readsim.result) =
-  Printf.sprintf
-    "    {\"clients\": %d, \"update_rate\": %d, \"reads\": %d, \"queued\": \
-     %d, \"wait_p50_s\": %.3f, \"wait_p95_s\": %.3f, \"wait_p99_s\": %.3f, \
-     \"staleness_p50\": %.1f, \"staleness_p95\": %.1f, \"lag_mean\": %.1f, \
-     \"saturated\": %b}"
-    clients update_rate r.Roll_sim.Readsim.reads r.Roll_sim.Readsim.queued
-    r.Roll_sim.Readsim.wait_p50 r.Roll_sim.Readsim.wait_p95
-    r.Roll_sim.Readsim.wait_p99 r.Roll_sim.Readsim.staleness_p50
-    r.Roll_sim.Readsim.staleness_p95 r.Roll_sim.Readsim.lag_mean
-    r.Roll_sim.Readsim.saturated
+  let module R = Roll_sim.Readsim in
+  Json.Obj
+    [
+      ("clients", Json.Int clients);
+      ("update_rate", Json.Int update_rate);
+      ("reads", Json.Int r.R.reads);
+      ("queued", Json.Int r.R.queued);
+      ("wait_p50_s", Json.fixed 3 r.R.wait_p50);
+      ("wait_p95_s", Json.fixed 3 r.R.wait_p95);
+      ("wait_p99_s", Json.fixed 3 r.R.wait_p99);
+      ("staleness_p50", Json.fixed 1 r.R.staleness_p50);
+      ("staleness_p95", Json.fixed 1 r.R.staleness_p95);
+      ("lag_mean", Json.fixed 1 r.R.lag_mean);
+      ("saturated", Json.Bool r.R.saturated);
+    ]
 
 let client_counts = [ 200; 1000; 4000 ]
 
@@ -244,29 +258,27 @@ let run () =
           (fun p -> p.clients = clients && p.wait_rounds_p95 >= 1.0)
           grid
         |> Option.map (fun p ->
-               Printf.sprintf
-                 "    {\"clients\": %d, \"update_rate\": %d, \
-                  \"wait_rounds_p95\": %.1f}"
-                 p.clients p.txns_per_round p.wait_rounds_p95))
+               Json.Obj
+                 [
+                   ("clients", Json.Int p.clients);
+                   ("update_rate", Json.Int p.txns_per_round);
+                   ("wait_rounds_p95", Json.fixed 1 p.wait_rounds_p95);
+                 ]))
       client_counts
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc
-    ("{\n  \"benchmark\": \"serve\",\n  " ^ Exp_common.meta_json () ^ ",\n");
-  output_string oc
-    (Printf.sprintf
-       "  \"budget\": %d, \"fact_interval\": %d, \"think_rounds\": %d, \
-        \"recency\": %d, \"fresh_fraction\": %.2f,\n"
-       budget fact_interval think_rounds recency fresh_fraction);
-  output_string oc "  \"grid\": [\n";
-  output_string oc (String.concat ",\n" (List.map json_of_point grid));
-  output_string oc "\n  ],\n  \"model\": [\n";
-  output_string oc
-    (String.concat ",\n"
-       (List.map (fun (c, u, r) -> json_of_model ~clients:c ~update_rate:u r)
-          model));
-  output_string oc "\n  ],\n  \"knee\": [\n";
-  output_string oc (String.concat ",\n" knees);
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
+  Exp_common.write_json "BENCH_serve.json" ~benchmark:"serve"
+    [
+      ("budget", Json.Int budget);
+      ("fact_interval", Json.Int fact_interval);
+      ("think_rounds", Json.Int think_rounds);
+      ("recency", Json.Int recency);
+      ("fresh_fraction", Json.fixed 2 fresh_fraction);
+      ("grid", Json.List (List.map json_of_point grid));
+      ( "model",
+        Json.List
+          (List.map
+             (fun (c, u, r) -> json_of_model ~clients:c ~update_rate:u r)
+             model) );
+      ("knee", Json.List knees);
+    ];
   Printf.printf "  wrote BENCH_serve.json\n"

@@ -13,6 +13,7 @@ module Database = Roll_storage.Database
 module Relation = Roll_relation.Relation
 module Tablefmt = Roll_util.Tablefmt
 module C = Roll_core
+module Json = Roll_util.Json
 module W = Roll_workload
 
 let star_config = { W.Star.default_config with n_dimensions = 2; seed = 23 }
@@ -90,39 +91,49 @@ let run_mode ~sharing ~label =
           (C.Controller.contents ctl))
       views controllers
   in
-  let sum f =
-    List.fold_left (fun acc (_, ctl) -> acc + f (C.Controller.stats ctl)) 0
-      controllers
+  let sum c =
+    List.fold_left
+      (fun acc (_, ctl) -> acc + C.Counters.count (C.Controller.counters ctl) c)
+      0 controllers
   in
-  let sched = C.Scheduler.stats (C.Service.scheduler service) in
-  let propagate = C.Stats.sched_kind sched "propagate" in
+  let sched = C.Scheduler.counters (C.Service.scheduler service) in
+  let propagate family =
+    int_of_float (C.Counters.get_by sched family "propagate")
+  in
   {
     label;
-    queries = sum C.Stats.queries;
-    rows_read = sum C.Stats.rows_read;
-    rows_scanned = sum C.Stats.rows_scanned;
-    rows_probed = sum C.Stats.rows_probed;
-    hash_builds = sum C.Stats.hash_builds;
-    memo_hits = sum C.Stats.memo_hits;
-    memo_misses = sum C.Stats.memo_misses;
-    shared_builds = sum C.Stats.shared_builds;
-    batched = propagate.C.Stats.batched;
-    propagate_ran = propagate.C.Stats.ran;
+    queries = sum C.Counters.queries;
+    rows_read = sum C.Counters.rows_read;
+    rows_scanned = sum C.Counters.rows_scanned;
+    rows_probed = sum C.Counters.rows_probed;
+    hash_builds = sum C.Counters.hash_builds;
+    memo_hits = sum C.Counters.memo_hits;
+    memo_misses = sum C.Counters.memo_misses;
+    shared_builds = sum C.Counters.shared_builds;
+    batched = propagate C.Counters.sched_batched;
+    propagate_ran = propagate C.Counters.sched_ran;
     contents =
       List.map (fun (name, ctl) -> (name, C.Controller.contents ctl)) controllers;
     oracle_ok;
   }
 
 let json_of_mode m contents_identical =
-  Printf.sprintf
-    "    {\"mode\": \"%s\", \"queries\": %d, \"rows_read\": %d, \
-     \"rows_scanned\": %d, \"rows_probed\": %d, \"hash_builds\": %d,\n\
-     \     \"memo_hits\": %d, \"memo_misses\": %d, \"shared_builds\": %d, \
-     \"batched\": %d, \"propagate_ran\": %d,\n\
-     \     \"oracle_ok\": %b, \"contents_identical\": %b}"
-    m.label m.queries m.rows_read m.rows_scanned m.rows_probed m.hash_builds
-    m.memo_hits m.memo_misses m.shared_builds m.batched m.propagate_ran
-    m.oracle_ok contents_identical
+  Json.Obj
+    [
+      ("mode", Json.Str m.label);
+      ("queries", Json.Int m.queries);
+      ("rows_read", Json.Int m.rows_read);
+      ("rows_scanned", Json.Int m.rows_scanned);
+      ("rows_probed", Json.Int m.rows_probed);
+      ("hash_builds", Json.Int m.hash_builds);
+      ("memo_hits", Json.Int m.memo_hits);
+      ("memo_misses", Json.Int m.memo_misses);
+      ("shared_builds", Json.Int m.shared_builds);
+      ("batched", Json.Int m.batched);
+      ("propagate_ran", Json.Int m.propagate_ran);
+      ("oracle_ok", Json.Bool m.oracle_ok);
+      ("contents_identical", Json.Bool contents_identical);
+    ]
 
 let run () =
   let shared = run_mode ~sharing:true ~label:"shared" in
@@ -163,13 +174,12 @@ let run () =
        [ shared; independent ]);
   Printf.printf "  contents identical across modes and vs oracle: ok\n";
   let path = "BENCH_sharing.json" in
-  let oc = open_out path in
-  output_string oc
-    ("{\n  \"benchmark\": \"sharing\",\n  " ^ Exp_common.meta_json ()
-   ^ ",\n  \"modes\": [\n");
-  output_string oc
-    (String.concat ",\n"
-       (List.map (fun m -> json_of_mode m contents_identical) [ shared; independent ]));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
+  Exp_common.write_json path ~benchmark:"sharing"
+    [
+      ( "modes",
+        Json.List
+          (List.map
+             (fun m -> json_of_mode m contents_identical)
+             [ shared; independent ]) );
+    ];
   Printf.printf "  wrote %s\n" path

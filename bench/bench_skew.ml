@@ -16,6 +16,7 @@ module Tablefmt = Roll_util.Tablefmt
 module Relation = Roll_relation.Relation
 module Star = Roll_workload.Star
 module C = Roll_core
+module Json = Roll_util.Json
 
 let thetas = [ 0.2; 0.8; 1.4 ]
 
@@ -76,13 +77,15 @@ let run_point ~hotset ~theta =
       (fun (part : C.Partial.part) -> part.C.Partial.key <> None)
       (C.Partial.entries (C.Service.partials service))
   in
-  let fleet_stats () =
-    C.Controller.stats ctl
-    :: List.map (fun part -> C.Controller.stats (C.Partial.controller part))
+  let fleet_counters () =
+    C.Controller.counters ctl
+    :: List.map (fun part -> C.Controller.counters (C.Partial.controller part))
          (heavies ())
   in
-  let total f = List.fold_left (fun acc st -> acc + f st) 0 (fleet_stats ()) in
-  let q0 = total C.Stats.queries and r0 = total C.Stats.rows_read in
+  let total c =
+    List.fold_left (fun acc cs -> acc + C.Counters.count cs c) 0 (fleet_counters ())
+  in
+  let q0 = total C.Counters.queries and r0 = total C.Counters.rows_read in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to churn_rounds do
     Star.mixed_txns star ~n:txns_per_round ~dim_fraction:0.3;
@@ -91,9 +94,9 @@ let run_point ~hotset ~theta =
   done;
   C.Service.refresh_all service;
   let wall_s = Unix.gettimeofday () -. t0 in
-  let queries = total C.Stats.queries - q0 in
-  let rows_read = total C.Stats.rows_read - r0 in
-  let stats = C.Controller.stats ctl in
+  let queries = total C.Counters.queries - q0 in
+  let rows_read = total C.Counters.rows_read - r0 in
+  let counters = C.Controller.counters ctl in
   let contents = C.Controller.contents ctl in
   let oracle_ok =
     Relation.equal
@@ -112,8 +115,8 @@ let run_point ~hotset ~theta =
         (if queries > 0 then float_of_int rows_read /. float_of_int queries
          else 0.);
       wall_s;
-      hot_hits = C.Stats.hot_hits stats;
-      hot_misses = C.Stats.hot_misses stats;
+      hot_hits = C.Counters.count counters C.Counters.hot_hits;
+      hot_misses = C.Counters.count counters C.Counters.hot_misses;
       heavy_keys;
       view_rows = Relation.distinct_count contents;
       oracle_ok;
@@ -124,14 +127,21 @@ let run_point ~hotset ~theta =
   point
 
 let json_of_point p identical =
-  Printf.sprintf
-    "    {\"zipf_theta\": %.2f, \"hotset\": %b, \"queries\": %d, \
-     \"rows_read\": %d, \"rows_per_query\": %.2f,\n\
-     \     \"wall_s\": %.4f, \"hot_hits\": %d, \"hot_misses\": %d, \
-     \"heavy_keys\": %d, \"view_rows\": %d, \"oracle_ok\": %b, \
-     \"contents_identical\": %b}"
-    p.theta p.hotset p.queries p.rows_read p.rows_per_query p.wall_s
-    p.hot_hits p.hot_misses p.heavy_keys p.view_rows p.oracle_ok identical
+  Json.Obj
+    [
+      ("zipf_theta", Json.fixed 2 p.theta);
+      ("hotset", Json.Bool p.hotset);
+      ("queries", Json.Int p.queries);
+      ("rows_read", Json.Int p.rows_read);
+      ("rows_per_query", Json.fixed 2 p.rows_per_query);
+      ("wall_s", Json.fixed 4 p.wall_s);
+      ("hot_hits", Json.Int p.hot_hits);
+      ("hot_misses", Json.Int p.hot_misses);
+      ("heavy_keys", Json.Int p.heavy_keys);
+      ("view_rows", Json.Int p.view_rows);
+      ("oracle_ok", Json.Bool p.oracle_ok);
+      ("contents_identical", Json.Bool identical);
+    ]
 
 let run () =
   let pairs =
@@ -197,21 +207,17 @@ let run () =
     "  at theta %.2f: %.1f rows/query with the hotset vs %.1f pure-lazy\n"
     high_on.theta high_on.rows_per_query high_off.rows_per_query;
   let path = "BENCH_skew.json" in
-  let oc = open_out path in
-  output_string oc
-    ("{\n  \"benchmark\": \"skew\",\n  " ^ Exp_common.meta_json () ^ ",\n");
-  output_string oc
-    (Printf.sprintf
-       "  \"fact_initial\": %d, \"dim_size\": %d, \"churn_txns\": %d,\n"
-       fact_initial dim_size (churn_rounds * txns_per_round));
-  output_string oc "  \"points\": [\n";
-  output_string oc
-    (String.concat ",\n"
-       (List.concat_map
-          (fun (on, off) ->
-            let identical = Relation.equal on.contents off.contents in
-            [ json_of_point on identical; json_of_point off identical ])
-          pairs));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
+  Exp_common.write_json path ~benchmark:"skew"
+    [
+      ("fact_initial", Json.Int fact_initial);
+      ("dim_size", Json.Int dim_size);
+      ("churn_txns", Json.Int (churn_rounds * txns_per_round));
+      ( "points",
+        Json.List
+          (List.concat_map
+             (fun (on, off) ->
+               let identical = Relation.equal on.contents off.contents in
+               [ json_of_point on identical; json_of_point off identical ])
+             pairs) );
+    ];
   Printf.printf "  wrote %s\n" path

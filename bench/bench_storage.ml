@@ -12,6 +12,7 @@ module Block_cache = Roll_storage.Block_cache
 module Pager = Roll_storage.Pager
 module C = Roll_core
 module W = Roll_workload
+module Json = Roll_util.Json
 
 (* ROLL_BENCH_SCALE multiplies the workload's row counts (initial fact
    rows, dimension size, churn transactions) AND the cache grid, so
@@ -105,15 +106,23 @@ let run_point ~cache_pages ~policy =
   point
 
 let json_of_point p =
-  Printf.sprintf
-    "    {\"cache_pages\": %d, \"policy\": \"%s\", \"data_pages\": %d, \
-     \"hit_ratio\": %.4f, \"resident_pages\": %d, \"evictions\": %d, \
-     \"page_reads\": %d, \"page_writes\": %d, \"drain_s\": %.4f, \
-     \"steps\": %d, \"txns_per_sec\": %.1f, \"rows\": %d}"
-    p.cache_pages p.policy p.data_pages p.hit_ratio p.resident p.evictions
-    p.page_reads p.page_writes p.drain_s p.steps
-    (if p.drain_s > 0. then float_of_int drain_txns /. p.drain_s else 0.)
-    p.rows
+  Json.Obj
+    [
+      ("cache_pages", Json.Int p.cache_pages);
+      ("policy", Json.Str p.policy);
+      ("data_pages", Json.Int p.data_pages);
+      ("hit_ratio", Json.fixed 4 p.hit_ratio);
+      ("resident_pages", Json.Int p.resident);
+      ("evictions", Json.Int p.evictions);
+      ("page_reads", Json.Int p.page_reads);
+      ("page_writes", Json.Int p.page_writes);
+      ("drain_s", Json.fixed 4 p.drain_s);
+      ("steps", Json.Int p.steps);
+      ( "txns_per_sec",
+        Json.fixed 1
+          (if p.drain_s > 0. then float_of_int drain_txns /. p.drain_s else 0.) );
+      ("rows", Json.Int p.rows);
+    ]
 
 let run () =
   let saved_store = Sys.getenv_opt "ROLL_STORE" in
@@ -155,19 +164,14 @@ let run () =
             rest
       | [] -> ());
       let path = "BENCH_storage.json" in
-      let oc = open_out path in
-      output_string oc
-        ("{\n  \"benchmark\": \"storage\",\n  " ^ Exp_common.meta_json ()
-       ^ ",\n");
-      output_string oc
-        (Printf.sprintf
-           "  \"workload\": \"star\", \"fact_initial\": %d, \"txns\": %d, \
-            \"scale\": %d,\n"
-           star_config.W.Star.fact_initial drain_txns scale);
-      output_string oc "  \"points\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_of_point points));
-      output_string oc "\n  ]\n}\n";
-      close_out oc;
+      Exp_common.write_json path ~benchmark:"storage"
+        [
+          ("workload", Json.Str "star");
+          ("fact_initial", Json.Int star_config.W.Star.fact_initial);
+          ("txns", Json.Int drain_txns);
+          ("scale", Json.Int scale);
+          ("points", Json.List (List.map json_of_point points));
+        ];
       List.iter
         (fun p ->
           Printf.printf

@@ -10,6 +10,7 @@ module Summary = Roll_util.Summary
 module Prng = Roll_util.Prng
 module C = Roll_core
 module W = Roll_workload
+module Json = Roll_util.Json
 
 let time_it f =
   let t0 = Unix.gettimeofday () in
@@ -20,21 +21,22 @@ let ms seconds = Printf.sprintf "%.1f" (seconds *. 1000.0)
 
 let table = Tablefmt.print
 
-(* Footprint helpers. *)
-let txn_row_sizes stats =
+(* Footprint helpers: the context must have been switched to recording
+   ([C.Ctx.keep_footprints]) before it ran. *)
+let txn_row_sizes ctx =
   let s = Summary.create () in
   List.iter
-    (fun (fp : C.Stats.footprint) ->
-      let rows = List.fold_left (fun acc (_, n) -> acc + n) 0 fp.C.Stats.reads in
+    (fun (fp : C.Ctx.footprint) ->
+      let rows = List.fold_left (fun acc (_, n) -> acc + n) 0 fp.C.Ctx.reads in
       Summary.add s (float_of_int rows))
-    (C.Stats.footprints stats);
+    (C.Ctx.footprints ctx);
   s
 
-(* Provenance header shared by every BENCH_*.json writer: which commit,
-   when, and under which runtime knobs the numbers were taken. Emitted as
-   one `"meta": {...}` member so downstream figure scripts can refuse to
-   mix points from different configurations. *)
-let meta_json () =
+(* Provenance header shared by every BENCH_*.json file: which commit,
+   when, and under which runtime knobs the numbers were taken. Written as
+   one "meta" member so downstream figure scripts can refuse to mix
+   points from different configurations. *)
+let meta () =
   let commit =
     try
       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
@@ -53,11 +55,23 @@ let meta_json () =
   let env name fallback =
     match Sys.getenv_opt name with Some v when v <> "" -> v | _ -> fallback
   in
-  Printf.sprintf
-    {|"meta": {"commit": %S, "date": %S, "roll_domains": %S, "roll_store": %S}|}
-    commit date
-    (env "ROLL_DOMAINS" "1")
-    (env "ROLL_STORE" "mem")
+  Json.Obj
+    [
+      ("commit", Json.Str commit);
+      ("date", Json.Str date);
+      ("roll_domains", Json.Str (env "ROLL_DOMAINS" "1"));
+      ("roll_store", Json.Str (env "ROLL_STORE" "mem"));
+    ]
+
+(* Write BENCH_<name>.json-style output: the benchmark's name, the
+   provenance header, then [fields]. *)
+let write_json path ~benchmark fields =
+  let oc = open_out path in
+  output_string oc
+    (Json.pretty
+       (Json.Obj
+          ((("benchmark", Json.Str benchmark) :: ("meta", meta ()) :: fields))));
+  close_out oc
 
 let check_or_die what = function
   | Ok () -> ()
@@ -72,4 +86,11 @@ let churned_nway ?(key_range = 10) ?(initial_rows = 60) ?weights ~n ~txns ~seed 
   W.Nway.churn w ~n:txns;
   w
 
-let ctx_for w = C.Ctx.create ~t_initial:Time.origin (W.Nway.db w) (W.Nway.capture w) (W.Nway.view w)
+(* Its footprints are recorded: the experiments report per-query sizes. *)
+let ctx_for w =
+  let ctx =
+    C.Ctx.create ~t_initial:Time.origin (W.Nway.db w) (W.Nway.capture w)
+      (W.Nway.view w)
+  in
+  C.Ctx.keep_footprints ctx;
+  ctx

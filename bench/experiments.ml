@@ -71,8 +71,8 @@ let fig2_propagate_apply () =
   table ~title:"F2 (Figure 2): propagate once, apply separately (3-way view, 600 txns)"
     ~header:[ "phase"; "time ms" ]
     ([ [ "propagate (full delta)"; ms prop_time ];
-       [ Printf.sprintf "  = %d queries, %d rows read" (C.Stats.queries ctx.C.Ctx.stats)
-           (C.Stats.rows_read ctx.C.Ctx.stats);
+       [ Printf.sprintf "  = %d queries, %d rows read" (C.Counters.count ctx.C.Ctx.counters C.Counters.queries)
+           (C.Counters.count ctx.C.Ctx.counters C.Counters.rows_read);
          "" ] ]
     @ List.rev !rows);
   check_or_die "F2 final state"
@@ -136,7 +136,7 @@ let fig4_compute_delta () =
         let ctx = ctx_for w in
         ctx.C.Ctx.skip_empty_windows <- false;
         C.Compute_delta.view_delta ctx ~lo:0 ~hi:(Database.now (W.Nway.db w));
-        C.Stats.queries ctx.C.Ctx.stats
+        C.Counters.count ctx.C.Ctx.counters C.Counters.queries
       in
       let skipped =
         (* Same run with the empty-window skip on, racing with updates; the
@@ -152,7 +152,7 @@ let fig4_compute_delta () =
           (C.Oracle.check_timed_view_delta_sampled
              ~sample:(fun t -> t mod 29 = 0)
              (W.Nway.history w) (W.Nway.view w) ctx.C.Ctx.out ~lo:0 ~hi);
-        C.Stats.queries ctx.C.Ctx.stats
+        C.Counters.count ctx.C.Ctx.counters C.Counters.queries
       in
       rows :=
         [
@@ -185,14 +185,14 @@ let fig5_interval_sweep () =
       let (), t = time_it (fun () ->
           C.Propagate.run_until p ~target:(Database.now (W.Nway.db w)) ~interval)
       in
-      let sizes = txn_row_sizes ctx.C.Ctx.stats in
+      let sizes = txn_row_sizes ctx in
       rows :=
         [
           string_of_int interval;
-          string_of_int (C.Stats.queries ctx.C.Ctx.stats);
+          string_of_int (C.Counters.count ctx.C.Ctx.counters C.Counters.queries);
           Printf.sprintf "%.0f" (Summary.mean sizes);
           Printf.sprintf "%.0f" (Summary.max_value sizes);
-          string_of_int (C.Stats.rows_read ctx.C.Ctx.stats);
+          string_of_int (C.Counters.count ctx.C.Ctx.counters C.Counters.rows_read);
           ms t;
         ]
         :: !rows)
@@ -260,7 +260,7 @@ let fig9_rolling_coverage () =
         let r = C.Rolling_deferred.create ctx ~t_initial:0 in
         C.Rolling_deferred.run_until r ~target
           ~policy:(C.Rolling_deferred.per_relation intervals);
-        C.Stats.queries ctx.C.Ctx.stats
+        C.Counters.count ctx.C.Ctx.counters C.Counters.queries
       end
       else begin
         let r = C.Rolling.create ctx ~t_initial:0 in
@@ -273,7 +273,7 @@ let fig9_rolling_coverage () =
           intervals.(0) intervals.(1);
         print_string (C.Geometry.render_2d g ~width:32 ~upto:(Database.now (W.Nway.db w)));
         Printf.printf "(R2's forward queries are wider than R1's, as in Figure 9)\n";
-        C.Stats.queries ctx.C.Ctx.stats
+        C.Counters.count ctx.C.Ctx.counters C.Counters.queries
       end
     in
     (label, queries)
@@ -286,7 +286,7 @@ let fig9_rolling_coverage () =
     let target = Database.now (W.Nway.db w) in
     let p = C.Propagate.create ctx ~t_initial:0 in
     C.Propagate.run_until p ~target ~interval:(target / 6);
-    ("Propagate at the finer interval", C.Stats.queries ctx.C.Ctx.stats)
+    ("Propagate at the finer interval", C.Counters.count ctx.C.Ctx.counters C.Counters.queries)
   in
   table ~title:"F9: propagation queries to cover the same plane"
     ~header:[ "process"; "queries" ]
@@ -313,8 +313,8 @@ let fig10_rolling_vs_propagate () =
         | `Rolling intervals ->
             let r = C.Rolling.create ctx ~t_initial:0 in
             C.Rolling.run_until r ~target ~policy:(C.Rolling.per_relation intervals));
-        let sizes = txn_row_sizes ctx.C.Ctx.stats in
-        (C.Stats.queries ctx.C.Ctx.stats, C.Stats.rows_read ctx.C.Ctx.stats,
+        let sizes = txn_row_sizes ctx in
+        (C.Counters.count ctx.C.Ctx.counters C.Counters.queries, C.Counters.count ctx.C.Ctx.counters C.Counters.rows_read,
          Summary.max_value sizes)
       in
       let uq, ur, umax = measure (`Uniform 15) in
@@ -404,11 +404,12 @@ let claim_contention () =
     let ctx =
       C.Ctx.create ~t_initial:0 (W.Star.db star) (W.Star.capture star) (W.Star.view star)
     in
+    C.Ctx.keep_footprints ctx;
     (* Each run rebuilds the delta from scratch into a fresh ctx. *)
     let r = C.Rolling.create ctx ~t_initial:0 in
     C.Rolling.run_until r ~target:(Database.now (W.Star.db star))
       ~policy:(C.Rolling.per_relation [| interval; interval * 10; interval * 10 |]);
-    C.Stats.footprints ctx.C.Ctx.stats
+    C.Ctx.footprints ctx
   in
   let model = Contention.default_costs in
   let tables = [ "fact"; "dim0"; "dim1" ] in
@@ -617,15 +618,16 @@ let ablation_autotune () =
       C.Ctx.create ~t_initial:0 (W.Star.db star) (W.Star.capture star)
         (W.Star.view star)
     in
+    C.Ctx.keep_footprints ctx;
     let r = C.Rolling.create ctx ~t_initial:0 in
     C.Rolling.run_until r
       ~target:(Database.now (W.Star.db star))
       ~policy:(policy_of ctx);
-    let sizes = txn_row_sizes ctx.C.Ctx.stats in
+    let sizes = txn_row_sizes ctx in
     [
       label;
-      string_of_int (C.Stats.queries ctx.C.Ctx.stats);
-      string_of_int (C.Stats.rows_read ctx.C.Ctx.stats);
+      string_of_int (C.Counters.count ctx.C.Ctx.counters C.Counters.queries);
+      string_of_int (C.Counters.count ctx.C.Ctx.counters C.Counters.rows_read);
       Printf.sprintf "%.0f" (Summary.max_value sizes);
     ]
   in
@@ -665,7 +667,7 @@ let ablation_indexes () =
             C.Rolling.run_until r ~target:(Database.now (W.Nway.db w))
               ~policy:(C.Rolling.uniform 10))
         in
-        (C.Stats.rows_read ctx.C.Ctx.stats, t)
+        (C.Counters.count ctx.C.Ctx.counters C.Counters.rows_read, t)
       in
       let scan_rows, scan_t = run false in
       let ix_rows, ix_t = run true in

@@ -22,6 +22,7 @@ module Tablefmt = Roll_util.Tablefmt
 module Summary = Roll_util.Summary
 module C = Roll_core
 module W = Roll_workload
+module Json = Roll_util.Json
 
 (* --- run --- *)
 
@@ -61,7 +62,8 @@ let run_cmd workload algorithm txns interval verify =
     churn (txns / rounds);
     ignore (C.Controller.refresh_latest controller)
   done;
-  let stats = C.Controller.stats controller in
+  let counters = C.Controller.counters controller in
+  let count c = string_of_int (C.Counters.count counters c) in
   Tablefmt.print ~title:"maintenance summary"
     ~header:[ "metric"; "value" ]
     [
@@ -70,9 +72,9 @@ let run_cmd workload algorithm txns interval verify =
       [ "view rows";
         string_of_int (Roll_relation.Relation.distinct_count (C.Controller.contents controller)) ];
       [ "as of"; string_of_int (C.Controller.as_of controller) ];
-      [ "propagation queries"; string_of_int (C.Stats.queries stats) ];
-      [ "rows read"; string_of_int (C.Stats.rows_read stats) ];
-      [ "rows emitted"; string_of_int (C.Stats.rows_emitted stats) ];
+      [ "propagation queries"; count C.Counters.queries ];
+      [ "rows read"; count C.Counters.rows_read ];
+      [ "rows emitted"; count C.Counters.rows_emitted ];
     ];
   if verify then begin
     let t = C.Controller.as_of controller in
@@ -264,11 +266,14 @@ let status_cmd txns json domains =
       ~header:
         [
           "view"; "as of"; "hwm"; "staleness"; "sla"; "slack"; "delta rows";
-          "retry/abort/recover"; "memo h/m"; "aux h/m"; "aux lag"; "hot h/m";
+          "retry/abort/recover"; "memo h/m"; "aux h/m"; "part lag"; "hot h/m";
           "heavy/light"; "shared"; "state";
         ]
       (List.map
          (fun (st : C.Service.status) ->
+           let pair a b =
+             Printf.sprintf "%d/%d" (C.Service.count st a) (C.Service.count st b)
+           in
            [
              st.name;
              string_of_int st.as_of;
@@ -277,17 +282,20 @@ let status_cmd txns json domains =
              string_of_int st.sla;
              string_of_int st.slack;
              string_of_int st.delta_rows;
-             Printf.sprintf "%d/%d/%d" st.retries st.aborts st.recoveries;
-             Printf.sprintf "%d/%d" st.memo_hits st.memo_misses;
-             Printf.sprintf "%d/%d" st.aux_hits st.aux_misses;
-             string_of_int st.aux_lag;
-             Printf.sprintf "%d/%d" st.hot_hits st.hot_misses;
+             Printf.sprintf "%d/%d/%d"
+               (C.Service.count st C.Counters.retries)
+               (C.Service.count st C.Counters.aborts)
+               (C.Service.count st C.Counters.recoveries);
+             pair C.Counters.memo_hits C.Counters.memo_misses;
+             pair C.Counters.aux_hits C.Counters.aux_misses;
+             string_of_int st.partial_lag;
+             pair C.Counters.hot_hits C.Counters.hot_misses;
              Printf.sprintf "%d/%d" st.heavy_keys st.light_rows;
-             string_of_int st.shared_builds;
-             (if st.aux then "auxiliary"
-              else if st.hot then "heavy-partial"
-              else if st.paused then "paused"
-              else "running");
+             string_of_int (C.Service.count st C.Counters.shared_builds);
+             (match st.role with
+             | C.Service.Auxiliary -> "auxiliary"
+             | C.Service.Heavy_partial -> "heavy-partial"
+             | C.Service.View -> if st.paused then "paused" else "running");
            ])
          (C.Service.status service))
   in
@@ -297,13 +305,18 @@ let status_cmd txns json domains =
   ignore (C.Service.gc_all service);
   print_status "after resume + refresh_all + gc";
   if json then
-    Printf.printf "{\"status\": %s, \"shards\": %s, \"storage\": %s}\n"
-      (String.trim (C.Service.status_json service))
-      (String.trim (C.Service.shards_json ~full:true service))
-      (String.trim (Roll_storage.Database.storage_json db))
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [
+              ("status", C.Service.status_json service);
+              ("shards", C.Service.shards_json ~full:true service);
+              ("storage", Roll_storage.Database.storage_json db);
+            ]))
   else begin
     print_domain_tables service;
-    Printf.printf "storage: %s\n" (Roll_storage.Database.storage_json db)
+    Printf.printf "storage: %s\n"
+      (Json.to_string (Roll_storage.Database.storage_json db))
   end;
   C.Service.shutdown service
 
@@ -364,9 +377,13 @@ let schedule_cmd txns policy budget json domains =
     (* Pure queue inspection: print the work queue a full drain would
        consume (plus its per-shard depths), best item first, and leave the
        service untouched. *)
-    Printf.printf "{\"queue\": %s, \"shards\": %s}\n"
-      (String.trim (C.Service.schedule_json ~full:true service))
-      (String.trim (C.Service.shards_json ~full:true service));
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [
+              ("queue", C.Service.schedule_json ~full:true service);
+              ("shards", C.Service.shards_json ~full:true service);
+            ]));
     C.Service.shutdown service;
     exit 0
   end;
@@ -394,7 +411,7 @@ let schedule_cmd txns policy budget json domains =
   | Error (e : C.Service.step_error) ->
       Printf.printf "permanent failure: view %s at %s\n" e.view e.point);
   print_queue "work queue after drain";
-  let stats = C.Scheduler.stats (C.Service.scheduler service) in
+  let counters = C.Scheduler.counters (C.Service.scheduler service) in
   Tablefmt.print ~title:"scheduler counters"
     ~header:
       [
@@ -402,17 +419,21 @@ let schedule_cmd txns policy budget json domains =
         "wall ms";
       ]
     (List.map
-       (fun (kind, (c : C.Stats.sched_counters)) ->
+       (fun kind ->
+         let n family =
+           Printf.sprintf "%.0f" (C.Counters.get_by counters family kind)
+         in
          [
            kind;
-           string_of_int c.C.Stats.scheduled;
-           string_of_int c.C.Stats.ran;
-           string_of_int c.C.Stats.deferred;
-           string_of_int c.C.Stats.backpressured;
-           string_of_int c.C.Stats.batched;
-           Printf.sprintf "%.2f" (c.C.Stats.wall *. 1000.0);
+           n C.Counters.sched_scheduled;
+           n C.Counters.sched_ran;
+           n C.Counters.sched_deferred;
+           n C.Counters.sched_backpressured;
+           n C.Counters.sched_batched;
+           Printf.sprintf "%.2f"
+             (C.Counters.get_by counters C.Counters.sched_wall kind *. 1000.0);
          ])
-       (C.Stats.sched_kinds stats));
+       (C.Counters.values counters C.Counters.sched_scheduled));
   print_domain_tables service;
   C.Service.shutdown service
 

@@ -26,11 +26,12 @@ let () =
     C.Ctx.create ~t_initial:Time.origin (Star.db star) (Star.capture star)
       (Star.view star)
   in
+  C.Ctx.keep_footprints ctx;
   let r = C.Rolling.create ctx ~t_initial:Time.origin in
   C.Rolling.run_until r
     ~target:(Database.now (Star.db star))
     ~policy:(C.Rolling.per_relation [| 15; 150; 150 |]);
-  let footprints = C.Stats.footprints ctx.C.Ctx.stats in
+  let footprints = C.Ctx.footprints ctx in
   Printf.printf "measured %d propagation transactions from a real run\n"
     (List.length footprints);
 

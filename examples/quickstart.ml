@@ -77,4 +77,4 @@ let () =
   let t = C.Controller.refresh_latest controller in
   Format.printf "@.caught up to t=%d:@.%a@." t Relation.pp
     (C.Controller.contents controller);
-  Format.printf "@.propagation stats: %a@." C.Stats.pp (C.Controller.stats controller)
+  Format.printf "@.propagation stats: %a@." C.Counters.pp (C.Controller.counters controller)

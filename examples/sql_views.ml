@@ -62,4 +62,4 @@ let () =
   Tablefmt.print ~title:"net change per region since materialization"
     ~header:[ "region"; "line count"; "qty sum" ]
     (List.sort compare !rows);
-  Format.printf "@.stats: %a@." C.Stats.pp ctx.C.Ctx.stats
+  Format.printf "@.stats: %a@." C.Counters.pp ctx.C.Ctx.counters

@@ -41,6 +41,7 @@ let measure label algorithm =
     C.Ctx.create ~t_initial:Time.origin (Star.db star) (Star.capture star)
       (Star.view star)
   in
+  C.Ctx.keep_footprints ctx;
   let target = Database.now (Star.db star) in
   (match algorithm with
   | `Uniform interval ->
@@ -51,14 +52,14 @@ let measure label algorithm =
       C.Rolling.run_until r ~target ~policy:(C.Rolling.per_relation intervals));
   let per_txn = Summary.create () in
   List.iter
-    (fun (fp : C.Stats.footprint) ->
+    (fun (fp : C.Ctx.footprint) ->
       let rows = List.fold_left (fun acc (_, n) -> acc + n) 0 fp.reads in
       Summary.add per_txn (float_of_int rows))
-    (C.Stats.footprints ctx.C.Ctx.stats);
+    (C.Ctx.footprints ctx);
   {
     label;
-    queries = C.Stats.queries ctx.C.Ctx.stats;
-    rows_read = C.Stats.rows_read ctx.C.Ctx.stats;
+    queries = C.Counters.count ctx.C.Ctx.counters C.Counters.queries;
+    rows_read = C.Counters.count ctx.C.Ctx.counters C.Counters.rows_read;
     avg_txn_rows = Summary.mean per_txn;
     max_txn_rows = Summary.max_value per_txn;
   }

@@ -66,7 +66,7 @@ let memo_key (ctx : Ctx.t) q tau t_new sign =
 let memo_active (ctx : Ctx.t) = Memo.enabled ctx.memo && ctx.geometry = None
 
 let replay (ctx : Ctx.t) rows =
-  Stats.incr_memo_hits ctx.stats;
+  Counters.incr ctx.counters Counters.memo_hits;
   Array.iter
     (fun (r : Delta.row) ->
       ctx.on_emit ~description:"(memo replay)" r.Delta.tuple r.Delta.count
@@ -90,7 +90,7 @@ let with_memo (ctx : Ctx.t) key f =
       replay ctx rows
   | None ->
       note_memo ctx "miss";
-      Stats.incr_memo_misses ctx.stats;
+      Counters.incr ctx.counters Counters.memo_misses;
       let from = Delta.length ctx.out in
       f ();
       Memo.add ~owner:ctx.memo_owner ctx.memo key
@@ -122,7 +122,7 @@ let rec run_body ~sign (ctx : Ctx.t) (q : Pquery.t) tau_old t_new =
   if ctx.auto_capture && ctx.frozen_exec = None then
     Capture.advance ctx.capture;
   Roll_util.Fault.hit ctx.fault "compensate.enter";
-  Stats.incr_compute_delta_calls ctx.stats;
+  Counters.incr ctx.counters Counters.compute_delta_calls;
   let n = Array.length q in
   for i = 0 to n - 1 do
     match q.(i) with

@@ -251,7 +251,7 @@ let view_at t time =
          t.gc_horizon);
   Apply.view_at t.apply ~hwm:(hwm t) time
 
-let stats t = t.ctx.Ctx.stats
+let counters t = t.ctx.Ctx.counters
 
 (* Window alignment snaps step targets to the propagation-interval grid so
    sibling views maintained with the same intervals produce identical delta
@@ -414,7 +414,7 @@ let checkpoint t path =
    frontier advances (the post-success undo path is {!undo_window}). *)
 let reliably t ~what ~retry ~sleep run =
   let ctx = t.ctx in
-  let stats = ctx.Ctx.stats in
+  let counters = ctx.Ctx.counters in
   let mark = Delta.length ctx.Ctx.out in
   let memo_mark = Memo.mark ctx.Ctx.memo in
   let retried = ref false in
@@ -426,17 +426,17 @@ let reliably t ~what ~retry ~sleep run =
     Retry.run retry ~sleep
       ~on_retry:(fun ~attempt:_ ~delay:_ ->
         retried := true;
-        Stats.incr_retries stats;
+        Counters.incr counters Counters.retries;
         rollback ())
       run
   in
   match result with
   | Ok _ ->
-      if !retried then Stats.incr_recoveries stats;
+      if !retried then Counters.incr counters Counters.recoveries;
       result
   | Error failure ->
       rollback ();
-      Stats.incr_aborts stats;
+      Counters.incr counters Counters.aborts;
       Log.err (fun m ->
           m "view %s: %s aborted at %s (hit %d) after %d attempts"
             (View.name ctx.Ctx.view) what failure.Retry.point
@@ -468,7 +468,7 @@ let rolling_exn t =
 let step_window_body t ~relation ~hi ~frozen =
   let ctx = t.ctx in
   let r = rolling_exn t in
-  let queries_before = Stats.queries ctx.Ctx.stats in
+  let queries_before = Counters.get ctx.Ctx.counters Counters.queries in
   ctx.Ctx.frozen_exec <- Some frozen;
   let advanced =
     Fun.protect
@@ -482,7 +482,7 @@ let step_window_body t ~relation ~hi ~frozen =
      the frozen-mode analogue of the plain step's "did the database clock
      move" test, which is meaningless here because frozen steps never
      commit markers. *)
-  let executed = Stats.queries ctx.Ctx.stats > queries_before in
+  let executed = Counters.get ctx.Ctx.counters Counters.queries > queries_before in
   (advanced, executed)
 
 let step_window t ~relation ~hi ~frozen =
@@ -658,7 +658,7 @@ let recover_body ~geometry ~auto_index ?checkpoint ~obs db capture view
   let target_as_of = Time.min last.Frontier.as_of (hwm t) in
   if target_as_of > Apply.as_of t.apply then
     Apply.roll_to t.apply ~hwm:(hwm t) target_as_of;
-  Stats.incr_recoveries ctx.Ctx.stats;
+  Counters.incr ctx.Ctx.counters Counters.recoveries;
   record_frontier t;
   let source =
     if resumed = None then "WAL replay" else "checkpoint + WAL replay"

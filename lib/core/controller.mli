@@ -84,7 +84,7 @@ val recover :
     mark (their coverage below the frontier is uniform by construction).
     The recovered controller is durable, has rolled the stored view
     forward to the recorded apply position, counts one recovery in
-    {!stats}, and has recorded a fresh frontier marker.
+    {!counters}, and has recorded a fresh frontier marker.
 
     With [obs], the whole recovery (resume, replay, roll-forward) is
     recorded as one ["recovery"] span and the handle is installed as in
@@ -138,7 +138,7 @@ val propagate_step_reliable :
 (** {!propagate_step} under a retry policy: a step failing with
     {!Roll_util.Fault.Transient} has its partial emissions rolled back
     (the aborted transaction's writes) and is re-run after backoff,
-    counting a retry in {!stats}; eventual success after retries counts a
+    counting a retry in {!counters}; eventual success after retries counts a
     recovery. Exhausting the budget rolls back, counts an abort and
     returns the typed failure. Other exceptions (including
     {!Roll_util.Fault.Crash}) propagate. Memo eviction on rollback is
@@ -154,7 +154,7 @@ val propagate_step_reliable :
     frozen-clock mode ({!Ctx.frozen_exec}): no capture advance, no marker
     commits — every database write a step performs goes to its own view
     delta, so concurrent steps never touch shared mutable state except the
-    (domain-safe) memo, stats and metrics. Durability bookkeeping happens
+    (domain-safe) memo and counters. Durability bookkeeping happens
     afterwards on the drain domain, in wave order
     ({!note_step_durable}). *)
 
@@ -249,7 +249,7 @@ val view_at : t -> Roll_delta.Time.t -> Roll_relation.Relation.t
     @raise Invalid_argument when [time] is below {!horizon} (the server
     maps this to a typed [`Gc_horizon] rejection). *)
 
-val stats : t -> Stats.t
+val counters : t -> Counters.t
 
 val window_alignment : t -> bool
 (** Whether propagation step targets snap to the interval grid (see

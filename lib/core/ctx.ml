@@ -7,12 +7,20 @@ type source = {
   prefix : string;
 }
 
+type footprint = {
+  exec : Roll_delta.Time.t;
+  description : string;
+  reads : (string * int) list;
+  emitted : int;
+}
+
 type t = {
   db : Database.t;
   capture : Capture.t;
   view : View.t;
   out : Roll_delta.Delta.t;
-  stats : Stats.t;
+  counters : Counters.t;
+  mutable footprints : footprint Roll_util.Vec.t option;
   mutable geometry : Geometry.t option;
   mutable on_execute : unit -> unit;
   mutable on_emit :
@@ -44,7 +52,8 @@ let create ?(geometry = false) ?obs ?t_initial db capture view =
     capture;
     view;
     out = Roll_delta.Delta.create (View.output_schema view);
-    stats = Stats.create ();
+    counters = Counters.create ();
+    footprints = None;
     geometry =
       (if geometry then
          Some (Geometry.create ~n:(View.n_sources view) ~origin)
@@ -62,3 +71,9 @@ let create ?(geometry = false) ?obs ?t_initial db capture view =
     memo_owner = 0;
     partial = None;
   }
+
+let keep_footprints t =
+  if t.footprints = None then t.footprints <- Some (Roll_util.Vec.create ())
+
+let footprints t =
+  match t.footprints with Some v -> Roll_util.Vec.to_list v | None -> []

@@ -1,7 +1,7 @@
 (** Maintenance context: everything a propagation process needs.
 
     Bundles the database, the capture process, the view, the accumulating
-    view-delta table, statistics, the optional geometry trace, and the
+    view-delta table, counters, the optional geometry trace, and the
     [on_execute] hook with which tests and benches inject concurrent update
     transactions between propagation queries — the concurrency that makes
     compensation necessary. *)
@@ -23,12 +23,28 @@ type source = {
     closure; consuming it is only sound while every part equals its slice
     of the partial applied to the base table's current committed state. *)
 
+type footprint = {
+  exec : Roll_delta.Time.t;  (** serialization time of the query *)
+  description : string;
+  reads : (string * int) list;
+      (** resource name ("R" for a base table, "ΔR" for its delta) and rows
+          read from it *)
+  emitted : int;  (** rows added to the view delta *)
+}
+(** Which resources one propagation query read, and how many rows: what
+    the contention simulator replays, so its lock-queueing model runs on
+    measured rather than assumed transaction sizes. *)
+
 type t = {
   db : Roll_storage.Database.t;
   capture : Roll_capture.Capture.t;
   view : View.t;
   out : Roll_delta.Delta.t;  (** the view delta being accumulated *)
-  stats : Stats.t;
+  counters : Counters.t;  (** this context's counters *)
+  mutable footprints : footprint Roll_util.Vec.t option;
+      (** every executed query's footprint, in execution order, once
+          {!keep_footprints} switched recording on; [None] (the default)
+          records nothing *)
   mutable geometry : Geometry.t option;
   mutable on_execute : unit -> unit;
       (** called immediately before each propagation query's transaction *)
@@ -109,3 +125,10 @@ val create :
 (** The capture process must already have every source table attached.
     [t_initial] (default [Database.now db]) seeds the geometry trace's
     origin. @raise Invalid_argument if a source table is not attached. *)
+
+val keep_footprints : t -> unit
+(** Record the footprint of every query executed from now on. Off by
+    default: the log grows with every query. *)
+
+val footprints : t -> footprint list
+(** The recorded footprints, oldest first ([[]] unless recording is on). *)

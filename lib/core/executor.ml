@@ -144,8 +144,8 @@ let plan_parts (ctx : Ctx.t) (q : Pquery.t) =
 
 let plan_of ctx q = snd (plan_parts ctx q)
 
-(* Per-input read counts in input order (the footprint shape Stats and the
-   contention simulator expect). *)
+(* Per-input read counts in input order (the footprint shape the
+   contention simulator expects). *)
 let reads_of (sources : Exec.source array) (report : Exec.report) =
   let reads = Array.make (Array.length sources) 0 in
   Array.iter
@@ -158,8 +158,11 @@ let reads_of (sources : Exec.source array) (report : Exec.report) =
 let record_report (ctx : Ctx.t) (report : Exec.report) =
   ctx.last_report <- Some report;
   let t = Exec.totals report in
-  Stats.record_exec ctx.stats ~scanned:t.scanned ~probed:t.probed
-    ~hash_builds:t.hash_builds ~wall:t.wall;
+  let c = ctx.counters in
+  Counters.add c Counters.rows_scanned (float_of_int t.scanned);
+  Counters.add c Counters.rows_probed (float_of_int t.probed);
+  Counters.add c Counters.hash_builds (float_of_int t.hash_builds);
+  Counters.add c Counters.exec_wall t.wall;
   Array.iter
     (fun (st : Exec.step_stat) ->
       let scanned, probed =
@@ -168,8 +171,11 @@ let record_report (ctx : Ctx.t) (report : Exec.report) =
         | Planner.Scan | Planner.Hash_join _ | Planner.Nested_loop ->
             (st.rows_in, 0)
       in
-      Stats.record_resource ctx.stats st.resource ~scanned ~probed
-        ~wall:st.wall)
+      Counters.add_by c Counters.resource_scanned st.resource
+        (float_of_int scanned);
+      Counters.add_by c Counters.resource_probed st.resource
+        (float_of_int probed);
+      Counters.add_by c Counters.resource_wall st.resource st.wall)
     report.steps
 
 (* Synthesize one "exec.operator" span per plan step from the finished
@@ -234,7 +240,9 @@ let evaluate_parts (ctx : Ctx.t) (q : Pquery.t) =
   record_report ctx report;
   if tracing then record_operator_spans ctx ~t0 report;
   (match cache with
-  | Some c -> Stats.add_shared_builds ctx.stats (Exec.cache_hits c - hits_before)
+  | Some c ->
+      Counters.add ctx.counters Counters.shared_builds
+        (float_of_int (Exec.cache_hits c - hits_before))
   | None -> ());
   (List.rev !out, sources, report, r.substituted)
 
@@ -321,8 +329,16 @@ let execute_body (ctx : Ctx.t) ~sign (q : Pquery.t) =
   in
   Log.debug (fun m ->
       m "executed %s at t=%d: %d rows emitted" tag t_exec (List.length rows));
-  Stats.record_query ctx.stats
-    { Stats.exec = t_exec; description = tag; reads; emitted = List.length rows };
+  let c = ctx.counters and emitted = List.length rows in
+  Counters.incr c Counters.queries;
+  Counters.add c Counters.rows_read
+    (float_of_int (List.fold_left (fun acc (_, n) -> acc + n) 0 reads));
+  Counters.add c Counters.rows_emitted (float_of_int emitted);
+  Option.iter
+    (fun log ->
+      Roll_util.Vec.push log
+        { Ctx.exec = t_exec; description = tag; reads; emitted })
+    ctx.footprints;
   (match ctx.geometry with
   | None -> ()
   | Some g ->

@@ -32,7 +32,7 @@ val evaluate :
 (** [evaluate ctx q] is [(rows, reads)]: the query result as (projected
     tuple, count, timestamp) plus the per-resource read counts, in input
     order. All-base queries yield rows stamped [Time.origin]. Updates
-    [ctx.last_report] and the pipeline counters in [ctx.stats] but commits
+    [ctx.last_report] and the pipeline counters in [ctx.counters] but commits
     nothing. @raise Invalid_argument if a window extends beyond the capture
     high-water mark. *)
 
@@ -57,7 +57,7 @@ val explain_analyze : Ctx.t -> Pquery.t -> string
 (** Like [explain], but actually runs the query and reports, per step,
     estimated vs. actual cardinalities, rows read, hash builds and wall
     time. Commits nothing and leaves [ctx.out] untouched; it does update
-    [ctx.stats] and [ctx.last_report] like any evaluation. *)
+    [ctx.counters] and [ctx.last_report] like any evaluation. *)
 
 val materialize : Ctx.t -> Roll_relation.Relation.t * Roll_delta.Time.t
 (** Evaluate the view's defining query (all base terms) against current

@@ -315,12 +315,13 @@ let fresh reg p =
 (* ------------------------------------------------------------------ *)
 (* Substitution                                                        *)
 
-let count stats policy hit =
-  match (policy, hit) with
-  | Narrowing, true -> Stats.incr_aux_hits stats
-  | Narrowing, false -> Stats.incr_aux_misses stats
-  | Partitioning _, true -> Stats.incr_hot_hits stats
-  | Partitioning _, false -> Stats.incr_hot_misses stats
+let count counters policy hit =
+  Counters.incr counters
+    (match (policy, hit) with
+    | Narrowing, true -> Counters.aux_hits
+    | Narrowing, false -> Counters.aux_misses
+    | Partitioning _, true -> Counters.hot_hits
+    | Partitioning _, false -> Counters.hot_misses)
 
 let probe reg (ctx : Ctx.t) p ~peek =
   (* No maintained part — a partition whose keys are all light — leaves a
@@ -346,7 +347,7 @@ let probe reg (ctx : Ctx.t) p ~peek =
          partition's light residual pumped and its parts synced is the
          drain's single-writer work before each wave (Hotset.pump). *)
       let hit = fresh reg p in
-      count ctx.Ctx.stats p.policy hit;
+      count ctx.Ctx.counters p.policy hit;
       if hit then Some (source ()) else None
     end
   end

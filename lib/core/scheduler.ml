@@ -47,7 +47,7 @@ type t = {
   mutable policy : policy;
   cost_weight : float;
   capture_batch : int option;
-  stats : Stats.t;
+  counters : Counters.t;
   (* Per-drain round-robin state: how many propagate turns each view has
      taken since [begin_drain]. *)
   rounds : (string, int) Hashtbl.t;
@@ -106,7 +106,7 @@ let create ?(policy = Slack) ?(cost_weight = 0.01) ?capture_batch db capture =
     policy;
     cost_weight;
     capture_batch;
-    stats = Stats.create ();
+    counters = Counters.create ();
     rounds = Hashtbl.create 8;
     obs = Roll_obs.Obs.disabled ();
     first_seen = Hashtbl.create 16;
@@ -124,7 +124,7 @@ let policy t = t.policy
 
 let set_policy t policy = t.policy <- policy
 
-let stats t = t.stats
+let counters t = t.counters
 
 let capture_batch t = t.capture_batch
 
@@ -158,9 +158,8 @@ let rounds_of t name =
   match Hashtbl.find_opt t.rounds name with Some n -> n | None -> 0
 
 let note_ran ?(domain = 0) t item ~wall =
-  let c = Stats.sched_kind t.stats (kind_name item) in
-  c.Stats.ran <- c.Stats.ran + 1;
-  c.Stats.wall <- c.Stats.wall +. wall;
+  Counters.add_by t.counters Counters.sched_ran (kind_name item) 1.;
+  Counters.add_by t.counters Counters.sched_wall (kind_name item) wall;
   let dk = (kind_name item, domain) in
   Hashtbl.replace t.by_domain dk
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.by_domain dk));
@@ -368,14 +367,12 @@ let select ?full t sources =
   let items = plan ?full t sources in
   List.iter
     (fun s ->
-      let c = Stats.sched_kind t.stats (kind_name s.item) in
-      c.Stats.scheduled <- c.Stats.scheduled + 1)
+      Counters.add_by t.counters Counters.sched_scheduled (kind_name s.item) 1.)
     items;
   let deferred, runnable = List.partition (fun s -> s.deferred) items in
   List.iter
     (fun s ->
-      let c = Stats.sched_kind t.stats (kind_name s.item) in
-      c.Stats.deferred <- c.Stats.deferred + 1)
+      Counters.add_by t.counters Counters.sched_deferred (kind_name s.item) 1.)
     deferred;
   let head =
     if deferred <> [] && Capture.lag t.capture > 0 then begin
@@ -385,8 +382,7 @@ let select ?full t sources =
          reduces the lag until the deferred windows are fully captured. *)
       match List.find_opt (fun s -> s.item = Capture_advance) runnable with
       | Some capture ->
-          let c = Stats.sched_kind t.stats "capture" in
-          c.Stats.backpressured <- c.Stats.backpressured + 1;
+          Counters.add_by t.counters Counters.sched_backpressured "capture" 1.;
           Log.debug (fun m ->
               m "backpressure: %d propagate step(s) deferred, boosting \
                  capture (lag=%d)"
@@ -465,7 +461,6 @@ let take_wave ?full t sources ~max:limit =
             List.map fst !slots
         | _ -> [ first ]
       in
-      let c = Stats.sched_kind t.stats "propagate" in
-      c.Stats.batched <-
-        List.fold_left (fun n ch -> n + List.length ch) (c.Stats.batched - 1) wave;
+      Counters.add_by t.counters Counters.sched_batched "propagate"
+        (float_of_int (List.fold_left (fun n ch -> n + List.length ch) (-1) wave));
       wave

@@ -34,8 +34,9 @@
 
     The scheduler only plans and scores; the {!Service} drain executes the
     chosen items (so retry, durability and pause semantics stay where they
-    are) and reports back through {!note_ran}. Counters live in a
-    {!Stats.t} under per-kind groups (see {!Stats.sched_kind}). *)
+    are) and reports back through {!note_ran}. Counters live in the
+    scheduler's {!Counters.t}, by item kind (the [Counters.sched_*]
+    families). *)
 
 type policy = Slack | Round_robin
 
@@ -114,9 +115,9 @@ val set_policy : t -> policy -> unit
 
 val capture_batch : t -> int option
 
-val stats : t -> Stats.t
-(** Scheduler counters: per-kind scheduled/ran/deferred/backpressured and
-    execution wall time (see {!Stats.sched_kind}). *)
+val counters : t -> Counters.t
+(** Scheduler counters: per-kind scheduled/ran/deferred/backpressured/
+    batched and execution wall time, plus capture retries and aborts. *)
 
 val plan : ?full:bool -> t -> source list -> scored list
 (** Score every currently available work item, best (lowest score) first —
@@ -193,6 +194,6 @@ val queue_wait : t -> item -> float option
 
 val kind_name : item -> string
 (** ["capture"], ["propagate"], ["apply"], ["checkpoint"] or ["gc"] — the
-    {!Stats.sched_kind} group the item is counted under. *)
+    [kind] label the item is counted under. *)
 
 val pp_item : Format.formatter -> item -> unit

@@ -21,8 +21,11 @@ type entry = {
           advances *)
 }
 
+type role = View | Auxiliary | Heavy_partial
+
 type status = {
   name : string;
+  role : role;
   as_of : Time.t;
   hwm : Time.t;
   staleness : int;
@@ -30,26 +33,10 @@ type status = {
   slack : int;
   delta_rows : int;
   paused : bool;
-  retries : int;
-  aborts : int;
-  recoveries : int;
-  memo_hits : int;
-  memo_misses : int;
-  shared_builds : int;
-  aux : bool;  (** this entry is an auxiliary view *)
-  aux_hits : int;  (** substitution probes served from fresh auxiliaries *)
-  aux_misses : int;  (** probes that fell back to the base table *)
-  aux_lag : int;
-      (** a part's mirror lag behind the clock; for a user view, the worst
-          lag across its partials' parts (0 when it has none) *)
-  hot : bool;  (** this entry is a heavy key's partial *)
-  hot_hits : int;  (** substitution reads served from fresh partitions *)
-  hot_misses : int;  (** partition consultations that fell back *)
-  heavy_keys : int;  (** currently-heavy keys across the view's partitions *)
-  light_rows : int;  (** rows in the view's light residual mirrors *)
-  reads_served : int;
-  reads_rejected : int;
-  read_wait : float;
+  partial_lag : int;
+  heavy_keys : int;
+  light_rows : int;
+  counters : Roll_obs.Metrics.sample_family list;
 }
 
 type step_error = { view : string; point : string; hit : int; attempts : int }
@@ -96,6 +83,93 @@ let env_flag name =
       | "" | "0" | "false" | "off" | "no" -> false
       | _ -> true)
 
+(* A part's mirror lag; for a user view, the worst lag across every part
+   of the partials its probes depend on. *)
+let partial_lag t (e : entry) =
+  match e.partial_of with
+  | Some part -> Partial.lag t.partials part
+  | None -> Partial.owner_lag t.partials ~owner:e.name
+
+let status t =
+  let now = Database.now t.db in
+  List.map
+    (fun (e : entry) ->
+      let hwm = Controller.hwm e.controller in
+      let staleness = now - hwm in
+      let role =
+        match e.partial_of with
+        | None -> View
+        | Some { Partial.key = None; _ } -> Auxiliary
+        | Some _ -> Heavy_partial
+      in
+      let hotset f =
+        match t.hotset with
+        | Some h when role = View -> f h ~owner:e.name
+        | _ -> 0
+      in
+      {
+        name = e.name;
+        role;
+        as_of = Controller.as_of e.controller;
+        hwm;
+        staleness;
+        sla = e.sla;
+        slack = e.sla - staleness;
+        delta_rows = Delta.length (Controller.ctx e.controller).Ctx.out;
+        paused = e.paused;
+        partial_lag = partial_lag t e;
+        heavy_keys = hotset Hotset.heavy_count;
+        light_rows = hotset Hotset.light_rows;
+        counters =
+          Roll_obs.Metrics.snapshot
+            (Counters.metrics (Controller.counters e.controller));
+      })
+    t.entries
+
+let count (s : status) c = int_of_float (Counters.read s.counters c)
+
+let role_name = function
+  | View -> "view"
+  | Auxiliary -> "aux"
+  | Heavy_partial -> "hot"
+
+(* The freshness gauges every view exports beside its counters, each read
+   off the view's status row. *)
+let view_gauges =
+  [
+    ("roll_view_hwm", "View-delta high-water mark (CSN)", fun s -> s.hwm);
+    ( "roll_view_as_of",
+      "Materialization time of the stored view (CSN)",
+      fun s -> s.as_of );
+    ("roll_view_staleness", "Commits behind current time", fun s -> s.staleness);
+    ("roll_view_slack", "SLA minus staleness, in commits", fun s -> s.slack);
+    ("roll_view_delta_rows", "Rows held in the view delta", fun s -> s.delta_rows);
+    ( "roll_view_paused",
+      "1 when propagation is paused",
+      fun s -> if s.paused then 1 else 0 );
+  ]
+
+(* The service's one collector: the scheduler's counters under
+   [scope=scheduler], then every live view's counters and freshness
+   gauges under [view=<name>], all from one [status] snapshot. A view
+   that leaves the service leaves the export with it. *)
+let samples t =
+  let module M = Roll_obs.Metrics in
+  M.with_labels
+    [ ("scope", "scheduler") ]
+    (M.snapshot (Counters.metrics (Scheduler.counters t.scheduler)))
+  @ List.concat_map
+      (fun s ->
+        M.with_labels
+          [ ("view", s.name) ]
+          (s.counters
+          @ List.map
+              (fun (name, help, read) ->
+                M.sample ~help ~kind:M.Gauge name
+                  [ ([], float_of_int (read s)) ])
+              view_gauges))
+      (status t)
+
 let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
     ?(default_sla = 100) ?(gc_threshold = max_int) ?obs ?(domains = 1) db
     capture =
@@ -115,14 +189,10 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
   if Roll_obs.Obs.enabled obs then begin
     Scheduler.set_obs scheduler obs;
     Database.set_obs db obs;
-    Capture.set_obs capture obs;
-    (* Capture retries/aborts land on the scheduler's stats record. *)
-    Stats.register
-      ~labels:[ ("scope", "scheduler") ]
-      (Scheduler.stats scheduler)
-      (Roll_obs.Obs.metrics obs)
+    Capture.set_obs capture obs
   end;
   let partials = Partial.create db capture in
+  let t =
   {
     db;
     capture;
@@ -138,6 +208,11 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
     narrowing = auxiliary;
     hotset = (if hotset then Some (Hotset.create partials) else None);
   }
+  in
+  if Roll_obs.Obs.enabled obs then
+    Roll_obs.Metrics.register_collector (Roll_obs.Obs.metrics obs) (fun () ->
+        samples t);
+  t
 
 let scheduler t = t.scheduler
 
@@ -188,32 +263,7 @@ let add_entry ?partial_of t name controller =
       partial_of;
     }
   in
-  t.entries <- t.entries @ [ e ];
-  if Roll_obs.Obs.enabled t.obs then begin
-    let m = Roll_obs.Obs.metrics t.obs in
-    let labels = [ ("view", name) ] in
-    Stats.register ~labels (Controller.stats controller) m;
-    (* Operational freshness gauges: one collector per view per name,
-       merged into one labeled family at snapshot time. *)
-    let gauge ?help gname read =
-      Roll_obs.Metrics.register_collector m ?help
-        ~kind:Roll_obs.Metrics.Gauge gname (fun () -> [ (labels, read ()) ])
-    in
-    gauge "roll_view_hwm" ~help:"View-delta high-water mark (CSN)" (fun () ->
-        float_of_int (Controller.hwm controller));
-    gauge "roll_view_as_of"
-      ~help:"Materialization time of the stored view (CSN)" (fun () ->
-        float_of_int (Controller.as_of controller));
-    gauge "roll_view_staleness" ~help:"Commits behind current time" (fun () ->
-        float_of_int (Database.now t.db - Controller.hwm controller));
-    gauge "roll_view_slack" ~help:"SLA minus staleness, in commits" (fun () ->
-        float_of_int (e.sla - (Database.now t.db - Controller.hwm controller)));
-    gauge "roll_view_delta_rows" ~help:"Rows held in the view delta"
-      (fun () ->
-        float_of_int (Delta.length (Controller.ctx controller).Ctx.out));
-    gauge "roll_view_paused" ~help:"1 when propagation is paused" (fun () ->
-        if e.paused then 1. else 0.)
-  end
+  t.entries <- t.entries @ [ e ]
 
 let obs_arg t = if Roll_obs.Obs.enabled t.obs then Some t.obs else None
 
@@ -306,61 +356,6 @@ let set_checkpoint t name ~path ~every =
 let set_gc_threshold t rows =
   if rows <= 0 then invalid_arg "Service.set_gc_threshold";
   t.gc_threshold <- rows
-
-(* A part's mirror lag; for a user view, the worst lag across every part
-   of the partials its probes depend on. *)
-let partial_lag t (e : entry) =
-  match e.partial_of with
-  | Some part -> Partial.lag t.partials part
-  | None -> Partial.owner_lag t.partials ~owner:e.name
-
-let status t =
-  let now = Database.now t.db in
-  List.map
-    (fun (e : entry) ->
-      let hwm = Controller.hwm e.controller in
-      let stats = Controller.stats e.controller in
-      let staleness = now - hwm in
-      let narrowed =
-        Option.map
-          (fun (part : Partial.part) -> part.Partial.key = None)
-          e.partial_of
-      in
-      {
-        name = e.name;
-        as_of = Controller.as_of e.controller;
-        hwm;
-        staleness;
-        sla = e.sla;
-        slack = e.sla - staleness;
-        delta_rows = Delta.length (Controller.ctx e.controller).Ctx.out;
-        paused = e.paused;
-        retries = Stats.retries stats;
-        aborts = Stats.aborts stats;
-        recoveries = Stats.recoveries stats;
-        memo_hits = Stats.memo_hits stats;
-        memo_misses = Stats.memo_misses stats;
-        shared_builds = Stats.shared_builds stats;
-        aux = narrowed = Some true;
-        aux_hits = Stats.aux_hits stats;
-        aux_misses = Stats.aux_misses stats;
-        aux_lag = partial_lag t e;
-        hot = narrowed = Some false;
-        hot_hits = Stats.hot_hits stats;
-        hot_misses = Stats.hot_misses stats;
-        heavy_keys =
-          (match t.hotset with
-          | Some h when narrowed = None -> Hotset.heavy_count h ~owner:e.name
-          | _ -> 0);
-        light_rows =
-          (match t.hotset with
-          | Some h when narrowed = None -> Hotset.light_rows h ~owner:e.name
-          | _ -> 0);
-        reads_served = Stats.reads_served stats;
-        reads_rejected = Stats.reads_rejected stats;
-        read_wait = Stats.read_wait stats;
-      })
-    t.entries
 
 let pause t name = (find t name).paused <- true
 
@@ -528,17 +523,18 @@ let step_error view (f : Roll_util.Retry.failure) =
 (* Capture advances under the retry policy: the capture fault point fires
    before any delta mutation, so a failed advance left nothing behind and
    can simply be re-run. Capture retries are counted on the scheduler's
-   stats (capture has no per-view controller to count them on). *)
+   counters (capture has no per-view controller to count them on). *)
 let reliable_capture t ~retry ~sleep () =
-  let sched_stats = Scheduler.stats t.scheduler in
+  let counters = Scheduler.counters t.scheduler in
   match
     Roll_util.Retry.run retry ~sleep
-      ~on_retry:(fun ~attempt:_ ~delay:_ -> Stats.incr_retries sched_stats)
+      ~on_retry:(fun ~attempt:_ ~delay:_ ->
+        Counters.incr counters Counters.retries)
       (fun () -> advance_capture t)
   with
   | Ok () -> Ok ()
   | Error f ->
-      Stats.incr_aborts sched_stats;
+      Counters.incr counters Counters.aborts;
       Error (step_error "(capture)" f)
 
 (* Rows a propagate item appended to its view delta, measured around the
@@ -971,27 +967,41 @@ let gc_all t =
   pruned
 
 (* ------------------------------------------------------------------ *)
-(* JSON renderings (rollctl --json, CI assertions)                     *)
+(* JSON renderings (rollctl --json, rolld STATUS, CI assertions)        *)
+
+module Json = Roll_util.Json
 
 let status_json t =
-  let module E = Roll_obs.Export in
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i (s : status) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"view\":%s,\"as_of\":%d,\"hwm\":%d,\"staleness\":%d,\"sla\":%d,\"slack\":%d,\"delta_rows\":%d,\"paused\":%b,\"retries\":%d,\"aborts\":%d,\"recoveries\":%d,\"memo_hits\":%d,\"memo_misses\":%d,\"shared_builds\":%d,\"aux\":%b,\"aux_hits\":%d,\"aux_misses\":%d,\"aux_lag\":%d,\"hot\":%b,\"hot_hits\":%d,\"hot_misses\":%d,\"heavy_keys\":%d,\"light_rows\":%d,\"reads_served\":%d,\"reads_rejected\":%d,\"read_wait\":%s}"
-           (E.json_string s.name) s.as_of s.hwm s.staleness s.sla s.slack
-           s.delta_rows s.paused s.retries s.aborts s.recoveries s.memo_hits
-           s.memo_misses s.shared_builds s.aux s.aux_hits s.aux_misses
-           s.aux_lag s.hot s.hot_hits s.hot_misses s.heavy_keys s.light_rows
-           s.reads_served s.reads_rejected
-           (E.json_float s.read_wait)))
-    (status t);
-  Buffer.add_char buf ']';
-  Buffer.contents buf
+  Json.List
+    (List.map
+       (fun s ->
+         Json.Obj
+           [
+             ("view", Json.Str s.name);
+             ("role", Json.Str (role_name s.role));
+             ("as_of", Json.Int s.as_of);
+             ("hwm", Json.Int s.hwm);
+             ("staleness", Json.Int s.staleness);
+             ("sla", Json.Int s.sla);
+             ("slack", Json.Int s.slack);
+             ("delta_rows", Json.Int s.delta_rows);
+             ("paused", Json.Bool s.paused);
+             ("partial_lag", Json.Int s.partial_lag);
+             ("heavy_keys", Json.Int s.heavy_keys);
+             ("light_rows", Json.Int s.light_rows);
+             ( "counters",
+               Json.Obj
+                 (List.concat_map
+                    (fun (sf : Roll_obs.Metrics.sample_family) ->
+                      List.filter_map
+                        (fun (p : Roll_obs.Metrics.point) ->
+                          if p.p_labels = [] then
+                            Some (sf.sf_name, Json.number p.p_value)
+                          else None)
+                        sf.points)
+                    s.counters) );
+           ])
+       (status t))
 
 (* Per-shard queue depth: planned propagate items hashed by view name onto
    the domain slots; every other kind belongs to the single-writer drain
@@ -1012,51 +1022,55 @@ let shard_depths ?full t =
 let ran_by_domain t = Scheduler.ran_by_domain t.scheduler
 
 let shards_json ?full t =
-  let module E = Roll_obs.Export in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "{\"domains\":%d,\"shards\":[" (domains t));
-  Array.iteri
-    (fun i depth ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"shard\":%d,\"depth\":%d}" i depth))
-    (shard_depths ?full t);
-  Buffer.add_string buf "],\"ran\":[";
-  List.iteri
-    (fun i ((kind, domain), count) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"kind\":%s,\"domain\":%d,\"count\":%d}"
-           (E.json_string kind) domain count))
-    (ran_by_domain t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("domains", Json.Int (domains t));
+      ( "shards",
+        Json.List
+          (Array.to_list
+             (Array.mapi
+                (fun i depth ->
+                  Json.Obj [ ("shard", Json.Int i); ("depth", Json.Int depth) ])
+                (shard_depths ?full t))) );
+      ( "ran",
+        Json.List
+          (List.map
+             (fun ((kind, domain), count) ->
+               Json.Obj
+                 [
+                   ("kind", Json.Str kind);
+                   ("domain", Json.Int domain);
+                   ("count", Json.Int count);
+                 ])
+             (ran_by_domain t)) );
+    ]
 
 let schedule_json ?full t =
-  let module E = Roll_obs.Export in
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i (s : Scheduler.scored) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let window =
-        match s.Scheduler.window with
-        | Some (table, lo, hi) ->
-            Printf.sprintf "{\"table\":%s,\"lo\":%d,\"hi\":%d}"
-              (E.json_string table) lo hi
-        | None -> "null"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"item\":%s,\"kind\":%s,\"score\":%s,\"staleness\":%d,\"slack\":%d,\"est_rows\":%d,\"est_cost\":%s,\"deferred\":%b,\"readers\":%d,\"partial\":%b,\"window\":%s}"
-           (E.json_string
-              (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item))
-           (E.json_string (Scheduler.kind_name s.Scheduler.item))
-           (E.json_float s.Scheduler.score)
-           s.Scheduler.staleness s.Scheduler.slack s.Scheduler.est_rows
-           (E.json_float s.Scheduler.est_cost)
-           s.Scheduler.deferred s.Scheduler.readers s.Scheduler.partial
-           window))
-    (schedule ?full t);
-  Buffer.add_char buf ']';
-  Buffer.contents buf
+  Json.List
+    (List.map
+       (fun (s : Scheduler.scored) ->
+         Json.Obj
+           [
+             ( "item",
+               Json.Str (Format.asprintf "%a" Scheduler.pp_item s.Scheduler.item) );
+             ("kind", Json.Str (Scheduler.kind_name s.Scheduler.item));
+             ("score", Json.number s.Scheduler.score);
+             ("staleness", Json.Int s.Scheduler.staleness);
+             ("slack", Json.Int s.Scheduler.slack);
+             ("est_rows", Json.Int s.Scheduler.est_rows);
+             ("est_cost", Json.number s.Scheduler.est_cost);
+             ("deferred", Json.Bool s.Scheduler.deferred);
+             ("readers", Json.Int s.Scheduler.readers);
+             ("partial", Json.Bool s.Scheduler.partial);
+             ( "window",
+               match s.Scheduler.window with
+               | Some (table, lo, hi) ->
+                   Json.Obj
+                     [
+                       ("table", Json.Str table);
+                       ("lo", Json.Int lo);
+                       ("hi", Json.Int hi);
+                     ]
+               | None -> Json.Null );
+           ])
+       (schedule ?full t))

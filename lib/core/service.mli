@@ -18,8 +18,14 @@
 
 type t
 
+type role =
+  | View  (** a registered user view *)
+  | Auxiliary  (** an auxiliary view: a narrowing policy's partial *)
+  | Heavy_partial  (** a heavy key's partial: a partitioning policy's part *)
+
 type status = {
   name : string;
+  role : role;
   as_of : Roll_delta.Time.t;  (** materialization time of the stored view *)
   hwm : Roll_delta.Time.t;  (** view-delta high-water mark *)
   staleness : int;  (** current time minus hwm, in commits *)
@@ -27,49 +33,25 @@ type status = {
   slack : int;  (** [sla - staleness]; negative means the SLA is violated *)
   delta_rows : int;  (** rows currently held in the view delta *)
   paused : bool;
-  retries : int;  (** step attempts re-run after transient failures *)
-  aborts : int;  (** steps abandoned after exhausting the retry budget *)
-  recoveries : int;
-      (** transient-failed steps that eventually succeeded, plus controller
-          restarts recovered from durable state *)
-  memo_hits : int;
-      (** propagation deltas this view served from the shared memo instead
-          of executing (always 0 without sharing) *)
-  memo_misses : int;  (** deltas this view computed and memoized *)
-  shared_builds : int;
-      (** hash builds and window materializations this view reused from the
-          shared build cache *)
-  aux : bool;  (** this entry is an auxiliary view, not a user view *)
-  aux_hits : int;
-      (** substitution probes this view served from a fresh auxiliary
-          mirror instead of scanning the base table (always 0 without
-          auxiliaries) *)
-  aux_misses : int;
-      (** substitution probes that found the auxiliary lagging and fell
-          back to the base table *)
-  aux_lag : int;
-      (** for a part of a derived partial (an auxiliary or a heavy key's
-          partial): how many commits its probe mirror trails the database
-          clock; for a user view: the worst lag across every part of the
-          partials its probes depend on (0 when it has none) *)
-  hot : bool;  (** this entry is a heavy key's partial, not a user view *)
-  hot_hits : int;
-      (** base-relation reads this view served from a fresh heavy-light
-          partition union (always 0 without the hotset) *)
-  hot_misses : int;
-      (** partition consultations that found a part lagging and fell back
-          to the base table *)
+  partial_lag : int;
+      (** for a part of a derived partial: how many commits its probe
+          mirror trails the database clock; for a user view: the worst lag
+          across every part of the partials its probes depend on (0 when it
+          has none) *)
   heavy_keys : int;
       (** for a user view: currently-heavy keys across its partitioned
-          relations; 0 for auxiliary and heavy-partial entries *)
+          relations; 0 for other roles *)
   light_rows : int;
       (** for a user view: rows held by its light residual mirrors; 0 for
-          auxiliary and heavy-partial entries *)
-  reads_served : int;  (** reads served by a [rolld] front end *)
-  reads_rejected : int;  (** reads rejected by admission control *)
-  read_wait : float;
-      (** total seconds admitted readers spent blocked on freshness *)
+          other roles *)
+  counters : Roll_obs.Metrics.sample_family list;
+      (** one snapshot of the view's {!Counters} (read one with {!count}):
+          queries, retries, memo, aux and hot hits and misses, reads
+          served, … — the very series Prometheus exports for the view *)
 }
+(** One view's row of the control tables. The service's metrics collector
+    exports these rows: every counter in [counters], and the freshness
+    fields as [roll_view_*] gauges, labeled [view=<name>]. *)
 
 type step_error = {
   view : string;
@@ -145,8 +127,10 @@ val create :
     sees capture → propagate → apply → checkpoint end to end. When
     enabled, drains record ["service.drain"] / ["sched.item"] spans (with
     queue-wait attributes), per-kind item-latency, window-width and
-    rows-emitted histograms, and every registered view's {!Stats} surface
-    as [view]-labeled registry series alongside per-view freshness gauges.
+    rows-emitted histograms, and every registered view's {!Counters} surface
+    as [view]-labeled registry series alongside per-view freshness gauges,
+    read through one collector that walks the live views (a view's series
+    leave the registry when the view leaves the service).
     [domains] (default 1) sizes the worker-domain pool every drain runs
     on; a one-slot pool spawns no domain and runs everything on the
     caller. Drains plan {e waves} ({!Scheduler.take_wave}): up to
@@ -215,8 +199,8 @@ val controller : t -> string -> Controller.t
 val names : t -> string list
 
 val scheduler : t -> Scheduler.t
-(** The service's work queue — inspect its policy and {!Scheduler.stats}
-    counters. *)
+(** The service's work queue — inspect its policy and
+    {!Scheduler.counters}. *)
 
 val set_read_demand : t -> (string -> int) -> unit
 (** Install the waiting-reader census on the service's scheduler (see
@@ -255,11 +239,16 @@ val set_gc_threshold : t -> int -> unit
 val status : t -> status list
 (** One row per registered view, in registration order. *)
 
-val status_json : t -> string
-(** {!status} as a JSON array (one object per view, registration order) —
-    what [rollctl status --json] prints. *)
+val count : status -> Counters.counter -> int
+(** One counter of a status row. *)
 
-val schedule_json : ?full:bool -> t -> string
+val status_json : t -> Roll_util.Json.t
+(** {!status} as a JSON array, one object per view in registration order:
+    the freshness fields, ["role"] (["view"], ["aux"] or ["hot"]) and
+    ["counters"], an object of every unlabeled counter by metric name —
+    what [rollctl status --json] and [rolld]'s STATUS report. *)
+
+val schedule_json : ?full:bool -> t -> Roll_util.Json.t
 (** {!schedule} as a JSON array, best item first — what
     [rollctl schedule --json] prints. *)
 
@@ -277,7 +266,7 @@ val ran_by_domain : t -> ((string * int) * int) list
 (** Execution provenance, [((kind, domain slot), items run)] — see
     {!Scheduler.ran_by_domain}. *)
 
-val shards_json : ?full:bool -> t -> string
+val shards_json : ?full:bool -> t -> Roll_util.Json.t
 (** {!shard_depths} and {!ran_by_domain} as one JSON object
     [{"domains":n,"shards":[{"shard","depth"}...],"ran":[{"kind","domain","count"}...]}]
     — what [rollctl status --domains n --json] adds. *)

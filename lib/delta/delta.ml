@@ -222,37 +222,6 @@ let prune t ~upto =
   end;
   dropped
 
-let compact t =
-  let module Key = struct
-    type t = Tuple.t * Time.t
-
-    let equal (a, i) (b, j) = Time.equal i j && Tuple.equal a b
-    let hash (a, i) = (Tuple.hash a * 31) + i
-  end in
-  let module H = Hashtbl.Make (Key) in
-  let before = Vec.length t.rows in
-  let totals = H.create (max 16 before) in
-  let order = Vec.create () in
-  Vec.iter
-    (fun row ->
-      let key = (row.tuple, row.ts) in
-      match H.find_opt totals key with
-      | None ->
-          H.add totals key row.count;
-          Vec.push order key
-      | Some c -> H.replace totals key (c + row.count))
-    t.rows;
-  (* The one full rebuild: re-push the merged rows so the index starts
-     over from their first out-of-order row. *)
-  Vec.clear t.rows;
-  t.order <- Ordered;
-  Vec.iter
-    (fun ((tuple, ts) as key) ->
-      let count = H.find totals key in
-      if count <> 0 then push t { tuple; count; ts })
-    order;
-  before - Vec.length t.rows
-
 let copy t =
   let t' = create t.schema in
   iter (fun row -> append_row t' row) t;

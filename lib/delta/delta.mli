@@ -98,12 +98,6 @@ val prune : t -> upto:Time.t -> int
     longer needed) and returns how many were removed. They are a prefix of
     the timestamp index, so no re-sort is needed: O(n). *)
 
-val compact : t -> int
-(** Merge rows with identical tuple and timestamp by summing their counts
-    (a forward query and a compensation often contribute exactly cancelling
-    rows). Every window σ_{a,b} is unchanged; returns the number of rows
-    eliminated. The only operation that rebuilds the index from scratch. *)
-
 val copy : t -> t
 
 val pp : Format.formatter -> t -> unit

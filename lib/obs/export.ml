@@ -1,48 +1,19 @@
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
-(* Numbers: integers print bare (42, not 42.000000) so golden outputs are
-   stable and readable; everything else gets shortest round-trip form. *)
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
+module Json = Roll_util.Json
 
 let json_attr = function
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> json_float f
-  | Trace.Str s -> json_string s
-  | Trace.Bool b -> if b then "true" else "false"
+  | Trace.Int i -> Json.Int i
+  | Trace.Float f -> Json.number f
+  | Trace.Str s -> Json.Str s
+  | Trace.Bool b -> Json.Bool b
 
 let span_args (s : Trace.span) =
   let attrs = List.map (fun (k, v) -> (k, json_attr v)) s.Trace.attrs in
   let status =
     match s.Trace.status with
-    | Trace.Ok -> [ ("status", json_string "ok") ]
-    | Trace.Error e ->
-        [ ("status", json_string "error"); ("error", json_string e) ]
+    | Trace.Ok -> [ ("status", Json.Str "ok") ]
+    | Trace.Error e -> [ ("status", Json.Str "error"); ("error", Json.Str e) ]
   in
   attrs @ status
-
-let json_object fields =
-  "{"
-  ^ String.concat ", " (List.map (fun (k, v) -> json_string k ^ ": " ^ v) fields)
-  ^ "}"
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON                                             *)
@@ -56,53 +27,56 @@ let span_category (s : Trace.span) =
    trace-event format requires. Spans share pid/tid 1 — the viewer nests
    them by time containment, which well-nestedness guarantees. *)
 let chrome_trace_event (s : Trace.span) =
-  json_object
+  Json.Obj
     [
-      ("name", json_string s.Trace.name);
-      ("cat", json_string (span_category s));
-      ("ph", json_string "X");
-      ("ts", json_float (s.Trace.start *. 1e6));
-      ("dur", json_float (Float.max 0. (s.Trace.stop -. s.Trace.start) *. 1e6));
-      ("pid", "1");
-      ("tid", "1");
-      ("args", json_object (span_args s));
+      ("name", Json.Str s.Trace.name);
+      ("cat", Json.Str (span_category s));
+      ("ph", Json.Str "X");
+      ("ts", Json.number (s.Trace.start *. 1e6));
+      ("dur", Json.number (Float.max 0. (s.Trace.stop -. s.Trace.start) *. 1e6));
+      ("pid", Json.Int 1);
+      ("tid", Json.Int 1);
+      ("args", Json.Obj (span_args s));
     ]
 
 let chrome_trace ?(process = "rolling-ivm") trace =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\": [\n";
-  Buffer.add_string buf
-    ("  "
-    ^ json_object
-        [
-          ("name", json_string "process_name");
-          ("ph", json_string "M");
-          ("pid", "1");
-          ("args", json_object [ ("name", json_string process) ]);
-        ]);
-  List.iter
-    (fun s -> Buffer.add_string buf (",\n  " ^ chrome_trace_event s))
-    (Trace.spans trace);
-  Buffer.add_string buf "\n], \"displayTimeUnit\": \"ms\"}\n";
-  Buffer.contents buf
+  let process_name =
+    Json.Obj
+      [
+        ("name", Json.Str "process_name");
+        ("ph", Json.Str "M");
+        ("pid", Json.Int 1);
+        ("args", Json.Obj [ ("name", Json.Str process) ]);
+      ]
+  in
+  Json.pretty
+    (Json.Obj
+       [
+         ( "traceEvents",
+           Json.List
+             (process_name :: List.map chrome_trace_event (Trace.spans trace))
+         );
+         ("displayTimeUnit", Json.Str "ms");
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* JSONL span log                                                      *)
 
 let span_jsonl (s : Trace.span) =
-  json_object
+  Json.Obj
     ([
-       ("id", string_of_int s.Trace.id);
-       ("parent", string_of_int s.Trace.parent);
-       ("depth", string_of_int s.Trace.depth);
-       ("name", json_string s.Trace.name);
-       ("start", json_float s.Trace.start);
-       ("stop", json_float s.Trace.stop);
+       ("id", Json.Int s.Trace.id);
+       ("parent", Json.Int s.Trace.parent);
+       ("depth", Json.Int s.Trace.depth);
+       ("name", Json.Str s.Trace.name);
+       ("start", Json.number s.Trace.start);
+       ("stop", Json.number s.Trace.stop);
      ]
     @ span_args s)
 
 let spans_jsonl trace =
-  String.concat "" (List.map (fun s -> span_jsonl s ^ "\n") (Trace.spans trace))
+  String.concat ""
+    (List.map (fun s -> Json.to_string (span_jsonl s) ^ "\n") (Trace.spans trace))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
@@ -183,53 +157,3 @@ let prometheus metrics =
       end)
     (Metrics.snapshot metrics);
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Metrics as JSON (for [rollctl status --json] and CI assertions)     *)
-
-let metrics_json metrics =
-  let point_json (p : Metrics.point) =
-    let labels =
-      List.map (fun (k, v) -> (k, json_string v)) p.Metrics.p_labels
-    in
-    match p.Metrics.p_hist with
-    | None ->
-        json_object
-          [
-            ("labels", json_object labels);
-            ("value", json_float p.Metrics.p_value);
-          ]
-    | Some h ->
-        json_object
-          [
-            ("labels", json_object labels);
-            ("count", string_of_int h.Metrics.h_count);
-            ("sum", json_float h.Metrics.h_sum);
-            ( "buckets",
-              "["
-              ^ String.concat ", "
-                  (Array.to_list
-                     (Array.mapi
-                        (fun i bound ->
-                          json_object
-                            [
-                              ("le", json_float bound);
-                              ("n", string_of_int h.Metrics.h_counts.(i));
-                            ])
-                        h.Metrics.h_bounds))
-              ^ "]" );
-          ]
-  in
-  let family_json (sf : Metrics.sample_family) =
-    json_object
-      [
-        ("name", json_string sf.Metrics.sf_name);
-        ("kind", json_string (Metrics.kind_name sf.Metrics.sf_kind));
-        ( "series",
-          "[" ^ String.concat ", " (List.map point_json sf.Metrics.points) ^ "]"
-        );
-      ]
-  in
-  "["
-  ^ String.concat ",\n " (List.map family_json (Metrics.snapshot metrics))
-  ^ "]"

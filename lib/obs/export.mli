@@ -1,4 +1,6 @@
 (** Exporters: Chrome trace-event JSON, Prometheus text exposition, JSONL.
+    The JSON documents are built as {!Roll_util.Json} values and printed
+    by its codec.
 
     All output is deterministic given a deterministic clock: spans export
     in start order, metric families sorted by name, series sorted by
@@ -18,15 +20,3 @@ val prometheus : Metrics.t -> string
 (** Prometheus text exposition format version 0.0.4: [# HELP]/[# TYPE]
     headers, counters/gauges as single series, histograms as cumulative
     [_bucket{le=...}] series plus [_sum] and [_count]. *)
-
-val metrics_json : Metrics.t -> string
-(** The same snapshot as a JSON array, for [rollctl status --json] and CI
-    assertions. *)
-
-val json_string : string -> string
-(** Quote + escape a string as a JSON literal (shared by [rollctl]'s JSON
-    builders). *)
-
-val json_float : float -> string
-(** JSON number rendering: integral values print bare, others shortest
-    round-trip. *)

@@ -7,39 +7,47 @@ type hist = {
   counts : int array;  (** length = Array.length bounds + 1 (the +inf bucket) *)
   mutable sum : float;
   mutable count : int;
+  h_m : Mutex.t;
 }
 
-type instrument = I_value of { mutable v : float } | I_hist of hist
+(* Counter and gauge values are atomic cells: an update is one
+   compare-and-set, with no lock, so worker domains running propagation
+   steps can bump a resolved series concurrently with exact totals. Only
+   histograms (several fields per observation) take a per-series lock. *)
+type instrument = I_value of float Atomic.t | I_hist of hist
 
-(* Every series carries the registry mutex: instruments are handed out as
-   detached records, so the update path ([add]/[set]/[observe]) can't reach
-   the registry to lock it any other way. One registry-wide mutex rather
-   than per-series — updates are cheap and the maintenance path touches a
-   handful of series per item, so contention is not a concern, and a single
-   lock keeps snapshots consistent across families. *)
-type series = { s_labels : labels; inst : instrument; s_m : Mutex.t }
+type series = { s_labels : labels; inst : instrument }
 
+(* The registry mutex guards family and series creation (get-or-create)
+   and the collector list; reading or updating a resolved series never
+   takes it. *)
 type family = {
   name : string;
   help : string;
   kind : kind;
   f_bounds : float array option;
   tbl : (labels, series) Hashtbl.t;
-  mutable order : series list;  (** creation order, reversed *)
-  f_m : Mutex.t;
 }
 
-type collector = {
-  c_name : string;
-  c_help : string;
-  c_kind : kind;
-  read : unit -> (labels * float) list;
+type hist_snapshot = {
+  h_bounds : float array;
+  h_counts : int array;
+  h_sum : float;
+  h_count : int;
+}
+
+type point = { p_labels : labels; p_value : float; p_hist : hist_snapshot option }
+
+type sample_family = {
+  sf_name : string;
+  sf_help : string;
+  sf_kind : kind;
+  points : point list;
 }
 
 type t = {
   families : (string, family) Hashtbl.t;
-  mutable family_order : string list;  (** reversed *)
-  mutable collectors : collector list;  (** reversed *)
+  mutable collectors : (unit -> sample_family list) list;  (** reversed *)
   m : Mutex.t;
 }
 
@@ -50,12 +58,7 @@ type gauge = series
 type histogram = series
 
 let create () =
-  {
-    families = Hashtbl.create 32;
-    family_order = [];
-    collectors = [];
-    m = Mutex.create ();
-  }
+  { families = Hashtbl.create 32; collectors = []; m = Mutex.create () }
 
 let locked m f =
   Mutex.lock m;
@@ -92,30 +95,19 @@ let family t ~name ~help ~kind ~bounds =
                  (kind_name f.kind));
           f
       | None ->
-          let f =
-            {
-              name;
-              help;
-              kind;
-              f_bounds = bounds;
-              tbl = Hashtbl.create 4;
-              order = [];
-              f_m = t.m;
-            }
-          in
+          let f = { name; help; kind; f_bounds = bounds; tbl = Hashtbl.create 4 } in
           Hashtbl.add t.families name f;
-          t.family_order <- name :: t.family_order;
           f)
 
-let series (f : family) labels =
+let series t (f : family) labels =
   let labels = norm_labels labels in
-  locked f.f_m (fun () ->
+  locked t.m (fun () ->
       match Hashtbl.find_opt f.tbl labels with
       | Some s -> s
       | None ->
           let inst =
             match f.kind with
-            | Counter | Gauge -> I_value { v = 0. }
+            | Counter | Gauge -> I_value (Atomic.make 0.)
             | Histogram ->
                 let bounds =
                   match f.f_bounds with
@@ -129,18 +121,18 @@ let series (f : family) labels =
                     counts = Array.make (Array.length bounds + 1) 0;
                     sum = 0.;
                     count = 0;
+                    h_m = Mutex.create ();
                   }
           in
-          let s = { s_labels = labels; inst; s_m = f.f_m } in
+          let s = { s_labels = labels; inst } in
           Hashtbl.add f.tbl labels s;
-          f.order <- s :: f.order;
           s)
 
 let counter t ?(help = "") ?(labels = []) name =
-  series (family t ~name ~help ~kind:Counter ~bounds:None) labels
+  series t (family t ~name ~help ~kind:Counter ~bounds:None) labels
 
 let gauge t ?(help = "") ?(labels = []) name =
-  series (family t ~name ~help ~kind:Gauge ~bounds:None) labels
+  series t (family t ~name ~help ~kind:Gauge ~bounds:None) labels
 
 (* 1-2-5 log-linear ladder: logarithmic decades, linearly subdivided. *)
 let log_linear ?(lo = 1e-6) ?(hi = 1e6) () =
@@ -166,26 +158,30 @@ let histogram t ?(help = "") ?(labels = []) ?buckets name =
     (fun i b -> if i > 0 && b <= bounds.(i - 1) then
         invalid_arg "Metrics.histogram: buckets must increase")
     bounds;
-  series (family t ~name ~help ~kind:Histogram ~bounds:(Some bounds)) labels
+  series t (family t ~name ~help ~kind:Histogram ~bounds:(Some bounds)) labels
+
+let rec atomic_add cell dv =
+  let old = Atomic.get cell in
+  if not (Atomic.compare_and_set cell old (old +. dv)) then atomic_add cell dv
 
 let add c dv =
   if dv < 0. then invalid_arg "Metrics.add: counters only go up";
   match c.inst with
-  | I_value v -> locked c.s_m (fun () -> v.v <- v.v +. dv)
+  | I_value v -> atomic_add v dv
   | I_hist _ -> invalid_arg "Metrics.add: not a counter"
 
 let inc c = add c 1.
 
 let set g v =
   match g.inst with
-  | I_value i -> locked g.s_m (fun () -> i.v <- v)
+  | I_value cell -> Atomic.set cell v
   | I_hist _ -> invalid_arg "Metrics.set: not a gauge"
 
 let observe h v =
   match h.inst with
   | I_value _ -> invalid_arg "Metrics.observe: not a histogram"
   | I_hist hist ->
-      locked h.s_m (fun () ->
+      locked hist.h_m (fun () ->
           let n = Array.length hist.bounds in
           let rec bucket i =
             if i >= n || v <= hist.bounds.(i) then i else bucket (i + 1)
@@ -196,41 +192,49 @@ let observe h v =
           hist.count <- hist.count + 1)
 
 let value s =
-  locked s.s_m (fun () ->
-      match s.inst with I_value v -> v.v | I_hist h -> h.sum)
+  match s.inst with
+  | I_value cell -> Atomic.get cell
+  | I_hist h -> locked h.h_m (fun () -> h.sum)
 
 let hist_count s =
-  locked s.s_m (fun () ->
-      match s.inst with I_hist h -> h.count | I_value _ -> 0)
+  match s.inst with
+  | I_hist h -> locked h.h_m (fun () -> h.count)
+  | I_value _ -> 0
 
-let register_collector t ?(help = "") ~kind name read =
+let register_collector t read =
+  locked t.m (fun () -> t.collectors <- read :: t.collectors)
+
+let sample ?(help = "") ~kind name values =
   if not (valid_name name) then
     invalid_arg ("Metrics: invalid metric name: " ^ name);
   (match kind with
   | Counter | Gauge -> ()
-  | Histogram -> invalid_arg "Metrics.register_collector: histograms only live");
-  locked t.m (fun () ->
-      t.collectors <-
-        { c_name = name; c_help = help; c_kind = kind; read } :: t.collectors)
+  | Histogram -> invalid_arg "Metrics.sample: histograms are live only");
+  {
+    sf_name = name;
+    sf_help = help;
+    sf_kind = kind;
+    points =
+      List.map
+        (fun (labels, v) ->
+          { p_labels = norm_labels labels; p_value = v; p_hist = None })
+        values;
+  }
+
+let with_labels labels families =
+  List.map
+    (fun sf ->
+      {
+        sf with
+        points =
+          List.map
+            (fun p -> { p with p_labels = norm_labels (labels @ p.p_labels) })
+            sf.points;
+      })
+    families
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots (what the exporters consume)                              *)
-
-type hist_snapshot = {
-  h_bounds : float array;
-  h_counts : int array;
-  h_sum : float;
-  h_count : int;
-}
-
-type point = { p_labels : labels; p_value : float; p_hist : hist_snapshot option }
-
-type sample_family = {
-  sf_name : string;
-  sf_help : string;
-  sf_kind : kind;
-  points : point list;
-}
 
 let render_labels labels =
   String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
@@ -240,65 +244,62 @@ let sort_points ps =
     (fun a b -> String.compare (render_labels a.p_labels) (render_labels b.p_labels))
     ps
 
+let point_of (s : series) =
+  match s.inst with
+  | I_value cell ->
+      { p_labels = s.s_labels; p_value = Atomic.get cell; p_hist = None }
+  | I_hist h ->
+      locked h.h_m (fun () ->
+          {
+            p_labels = s.s_labels;
+            p_value = h.sum;
+            p_hist =
+              Some
+                {
+                  h_bounds = h.bounds;
+                  h_counts = Array.copy h.counts;
+                  h_sum = h.sum;
+                  h_count = h.count;
+                };
+          })
+
 let snapshot t =
-  (* Live instrument state is copied under the lock; collector reads run
-     outside it (a collector callback may itself create or read metrics). *)
+  (* The series lists are copied under the lock; values and collector
+     reads come after it (a collector may itself read a registry). *)
   let live, collectors =
     locked t.m (fun () ->
-        ( List.rev_map
-            (fun name ->
-              let f = Hashtbl.find t.families name in
-              let points =
-                List.rev_map
-                  (fun s ->
-                    match s.inst with
-                    | I_value v ->
-                        { p_labels = s.s_labels; p_value = v.v; p_hist = None }
-                    | I_hist h ->
-                        {
-                          p_labels = s.s_labels;
-                          p_value = h.sum;
-                          p_hist =
-                            Some
-                              {
-                                h_bounds = h.bounds;
-                                h_counts = Array.copy h.counts;
-                                h_sum = h.sum;
-                                h_count = h.count;
-                              };
-                        })
-                  f.order
-              in
-              { sf_name = f.name; sf_help = f.help; sf_kind = f.kind; points })
-            t.family_order,
+        ( Hashtbl.fold
+            (fun _ f acc ->
+              (f, Hashtbl.fold (fun _ s acc -> s :: acc) f.tbl []) :: acc)
+            t.families [],
           List.rev t.collectors ))
   in
-  (* Collector output grouped by name; several collectors may share one
-     metric name (e.g. one Stats registration per view). *)
-  let collected = Hashtbl.create 8 in
-  let collected_order = ref [] in
-  List.iter
-    (fun c ->
-      let points =
-        List.map
-          (fun (labels, v) ->
-            { p_labels = norm_labels labels; p_value = v; p_hist = None })
-          (c.read ())
-      in
-      match Hashtbl.find_opt collected c.c_name with
-      | Some sf ->
-          Hashtbl.replace collected c.c_name
-            { sf with points = sf.points @ points }
-      | None ->
-          Hashtbl.add collected c.c_name
-            { sf_name = c.c_name; sf_help = c.c_help; sf_kind = c.c_kind; points };
-          collected_order := c.c_name :: !collected_order)
-    collectors;
   let families =
-    live @ List.rev_map (fun name -> Hashtbl.find collected name) !collected_order
+    List.map
+      (fun (f, series) ->
+        {
+          sf_name = f.name;
+          sf_help = f.help;
+          sf_kind = f.kind;
+          points = List.map point_of series;
+        })
+      live
+    @ List.concat_map (fun read -> read ()) collectors
   in
-  List.sort (fun a b -> String.compare a.sf_name b.sf_name) families
-  |> List.map (fun sf -> { sf with points = sort_points sf.points })
+  (* Several sources may contribute to one name (a live family and
+     collected series, or one registry per view): merge their points. *)
+  let by_name = Hashtbl.create 32 in
+  List.iter
+    (fun sf ->
+      match Hashtbl.find_opt by_name sf.sf_name with
+      | Some prev ->
+          Hashtbl.replace by_name sf.sf_name
+            { prev with points = prev.points @ sf.points }
+      | None -> Hashtbl.add by_name sf.sf_name sf)
+    families;
+  Hashtbl.fold (fun _ sf acc -> { sf with points = sort_points sf.points } :: acc)
+    by_name []
+  |> List.sort (fun a b -> String.compare a.sf_name b.sf_name)
 
 let find_value t ?(labels = []) name =
   let labels = norm_labels labels in
@@ -314,16 +315,19 @@ let find_value t ?(labels = []) name =
   in_families (snapshot t)
 
 let reset t =
-  locked t.m (fun () ->
-      Hashtbl.iter
-        (fun _ f ->
-          Hashtbl.iter
-            (fun _ s ->
-              match s.inst with
-              | I_value v -> v.v <- 0.
-              | I_hist h ->
-                  Array.fill h.counts 0 (Array.length h.counts) 0;
-                  h.sum <- 0.;
-                  h.count <- 0)
-            f.tbl)
-        t.families)
+  let series =
+    locked t.m (fun () ->
+        Hashtbl.fold
+          (fun _ f acc -> Hashtbl.fold (fun _ s acc -> s :: acc) f.tbl acc)
+          t.families [])
+  in
+  List.iter
+    (fun s ->
+      match s.inst with
+      | I_value cell -> Atomic.set cell 0.
+      | I_hist h ->
+          locked h.h_m (fun () ->
+              Array.fill h.counts 0 (Array.length h.counts) 0;
+              h.sum <- 0.;
+              h.count <- 0))
+    series

@@ -1,16 +1,19 @@
-(** Metric registry: the numbers half of Rollscope.
+(** Metric registry: the numbers half of Rollscope, and the project's one
+    counter store.
 
     A registry holds labeled {e families} of counters, gauges and
-    log-linear histograms, created on first use and updated from the same
-    instrumentation points that emit {!Trace} spans. Exporters consume a
+    log-linear histograms, created on first use. Counter and gauge series
+    are lock-free atomic cells: resolve a series once (get-or-create takes
+    the registry lock) and every later {!inc}/{!add}/{!set} is a single
+    compare-and-set, safe from any domain. Exporters consume a
     deterministic {!snapshot}.
 
-    Legacy counters bridge in through {e collectors}: a collector is a
-    read-through callback registered once (see {!register_collector}) whose
-    values are sampled live at snapshot time. This is how {!Stats}'
-    existing mutable counters surface in the registry without being
-    maintained twice — the [Stats.t] record stays the single store, the
-    registry reads through it.
+    Each maintenance context keeps its counters in a registry of its own
+    ([Roll_core.Counters]); a {e collector} (see {!register_collector})
+    surfaces such registries in a service-wide one at snapshot time,
+    relabeled with {!with_labels} — [Roll_core.Service] registers one
+    collector that walks its live views, so a view's series leave the
+    export when the view does.
 
     Metric names follow Prometheus conventions ([roll_*_total] counters,
     [_seconds] durations, [snake_case] labels); see DESIGN.md section 14
@@ -65,17 +68,7 @@ val value : counter -> float
 
 val hist_count : histogram -> int
 
-(** {1 Collectors} *)
-
-val register_collector :
-  t -> ?help:string -> kind:kind -> string -> (unit -> (labels * float) list) -> unit
-(** Register a read-through series source under [name]; sampled at every
-    {!snapshot}. Several collectors may share one name (their series are
-    merged — e.g. one per-view [Stats] registration each contributing a
-    [view=...] series). Counter and gauge kinds only.
-    @raise Invalid_argument on a malformed name or histogram kind. *)
-
-(** {1 Snapshots} *)
+(** {1 Snapshots and collectors} *)
 
 type hist_snapshot = {
   h_bounds : float array;
@@ -96,6 +89,20 @@ type sample_family = {
   sf_kind : kind;
   points : point list;
 }
+
+val register_collector : t -> (unit -> sample_family list) -> unit
+(** Register a read-through source of families, called at every
+    {!snapshot}. Its families merge with the live ones and with other
+    collectors' by name (points are concatenated). *)
+
+val sample :
+  ?help:string -> kind:kind -> string -> (labels * float) list -> sample_family
+(** A counter or gauge family with the given points, for a collector to
+    return. @raise Invalid_argument on a malformed name or the histogram
+    kind. *)
+
+val with_labels : labels -> sample_family list -> sample_family list
+(** Add [labels] to every point (e.g. [[("view", name)]]). *)
 
 val snapshot : t -> sample_family list
 (** Every family (live and collected), sorted by name, points sorted by

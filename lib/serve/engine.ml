@@ -32,11 +32,12 @@
 
 module Service = Roll_core.Service
 module Controller = Roll_core.Controller
-module Stats = Roll_core.Stats
+module Counters = Roll_core.Counters
 module Database = Roll_storage.Database
 module Relation = Roll_relation.Relation
 module Obs = Roll_obs.Obs
 module Metrics = Roll_obs.Metrics
+module Json = Roll_util.Json
 
 type ticket = {
   request : Protocol.request;
@@ -205,15 +206,15 @@ let serve t ticket ~view ~ctl ~time =
   let hwm = Controller.hwm ctl in
   let wait = Unix.gettimeofday () -. ticket.submitted in
   let rows = snapshot_rows t ~view ~ctl ~time in
-  let stats = Controller.stats ctl in
-  Stats.incr_reads_served stats;
-  Stats.add_read_wait stats wait;
+  let counters = Controller.counters ctl in
+  Counters.incr counters Counters.reads_served;
+  Counters.add counters Counters.read_wait wait;
   observe_read t ~view ~wait ~staleness:(Database.now t.db - time);
   Mutex.protect t.mutex (fun () -> t.served <- t.served + 1);
   resolve ticket (Protocol.Rows { view; at = time; hwm; wait; rows })
 
-let reject t ticket ?stats r =
-  (match stats with Some s -> Stats.incr_reads_rejected s | None -> ());
+let reject t ticket ?counters r =
+  Option.iter (fun c -> Counters.incr c Counters.reads_rejected) counters;
   Mutex.protect t.mutex (fun () -> t.rejected <- t.rejected + 1);
   resolve ticket (Protocol.Rejected r)
 
@@ -222,11 +223,6 @@ let status t =
     Mutex.protect t.mutex (fun () ->
         (List.length t.pending, t.served, t.rejected))
   in
-  let views =
-    match Json.of_string_opt (Service.status_json t.service) with
-    | Some v -> v
-    | None -> Json.Null
-  in
   Json.Obj
     [
       ("now", Json.Int (Database.now t.db));
@@ -234,7 +230,7 @@ let status t =
       ("pending", Json.Int pending);
       ("served", Json.Int served);
       ("rejected", Json.Int rejected);
-      ("views", views);
+      ("views", Service.status_json t.service);
     ]
 
 (* Try to resolve one ticket against current state; [false] = keep it
@@ -258,12 +254,12 @@ let step t ticket =
               let now = Database.now t.db in
               let horizon = Controller.horizon ctl in
               if time > now then begin
-                reject t ticket ~stats:(Controller.stats ctl)
+                reject t ticket ~counters:(Controller.counters ctl)
                   (Protocol.Too_new { requested = time; now });
                 true
               end
               else if time < horizon then begin
-                reject t ticket ~stats:(Controller.stats ctl)
+                reject t ticket ~counters:(Controller.counters ctl)
                   (Protocol.Gc_horizon { requested = time; horizon });
                 true
               end

@@ -17,6 +17,15 @@
     spent queued. Rejections are typed, so clients can distinguish
     "come back later" ([too_new]) from "gone forever" ([gc_horizon]).
 
+    A STATUS report is [{"ok":true,"kind":"status","report":{...}}] whose
+    report carries ["now"], ["domains"], ["pending"], ["served"],
+    ["rejected"] and ["views"]: one object per view with ["view"],
+    ["role"] (["view"], ["aux"] or ["hot"]), ["as_of"], ["hwm"],
+    ["staleness"], ["sla"], ["slack"], ["delta_rows"], ["paused"],
+    ["partial_lag"], ["heavy_keys"], ["light_rows"] and ["counters"], an
+    object of the view's counters keyed by metric name, with the values
+    Prometheus exports for the view.
+
     The codec is total in both directions — [decode_response
     (encode_response r) = Ok r] — so scripts can be written against the
     golden tests rather than the server source. *)
@@ -24,6 +33,7 @@
 module Time = Roll_delta.Time
 module Value = Roll_relation.Value
 module Tuple = Roll_relation.Tuple
+module Json = Roll_util.Json
 
 type request =
   | Read_at of { view : string; time : Time.t }
@@ -84,10 +94,9 @@ let parse_request line =
   | verb :: _ -> Error (Printf.sprintf "unknown verb %S" verb)
   | [] -> Error "empty request"
 
-(* Values. Export.json_float prints integral floats bare (2.0 -> "2"),
-   which would decode as Int and break the round-trip — so the value
-   codec forces a decimal point on finite integral floats and tags the
-   non-finite ones. *)
+(* Values. Json prints every finite Float with a decimal point, so it
+   decodes as Float again; the non-finite ones have no JSON number form
+   and travel tagged. *)
 
 let json_of_value = function
   | Value.Null -> Json.Null

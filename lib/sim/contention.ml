@@ -1,17 +1,17 @@
 module Prng = Roll_util.Prng
-module Stats = Roll_core.Stats
+module Ctx = Roll_core.Ctx
 
 type cost_model = { base_cost : float; per_row : float }
 
 let default_costs = { base_cost = 0.002; per_row = 0.0001 }
 
-let footprint_rows (fp : Stats.footprint) =
+let footprint_rows (fp : Ctx.footprint) =
   List.fold_left (fun acc (_, n) -> acc + n) 0 fp.reads + fp.emitted
 
 let duration_of model rows =
   model.base_cost +. (model.per_row *. float_of_int rows)
 
-let locks_of_footprint (fp : Stats.footprint) =
+let locks_of_footprint (fp : Ctx.footprint) =
   { Des.resource = "delta:view"; mode = Des.Exclusive }
   :: List.map
        (fun (resource, _) -> { Des.resource; mode = Des.Shared })
@@ -91,7 +91,7 @@ let wave_txns model items ~start =
           { Des.resource = "delta:" ^ view; mode = Des.Exclusive }
           :: List.map
                (fun (resource, _) -> { Des.resource; mode = Des.Shared })
-               fp.Stats.reads;
+               fp.Ctx.reads;
       })
     items
 

@@ -16,7 +16,7 @@ val default_costs : cost_model
 
 val propagation_txns :
   cost_model ->
-  Roll_core.Stats.footprint list ->
+  Roll_core.Ctx.footprint list ->
   start:float ->
   spacing:float ->
   Des.txn_spec list
@@ -26,7 +26,7 @@ val propagation_txns :
 
 val monolithic_refresh :
   cost_model ->
-  Roll_core.Stats.footprint list ->
+  Roll_core.Ctx.footprint list ->
   start:float ->
   tables:string list ->
   Des.txn_spec
@@ -55,7 +55,7 @@ val reader_stream :
 
 val wave_txns :
   cost_model ->
-  (string * Roll_core.Stats.footprint) list ->
+  (string * Roll_core.Ctx.footprint) list ->
   start:float ->
   Des.txn_spec list
 (** One simulator transaction per parallel wave item [(view, footprint)],

@@ -108,6 +108,9 @@ let run_policy config policy =
       ~algorithm:(C.Controller.Uniform config.cold_interval)
       cold
   in
+  List.iter
+    (fun ctl -> C.Ctx.keep_footprints (C.Controller.ctx ctl))
+    [ hot_ctl; cold_ctl ];
   let samples = Hashtbl.create 4 in
   let sample name ~sla staleness =
     let s, violations =
@@ -144,17 +147,18 @@ let run_policy config policy =
         })
       (C.Service.names service)
   in
-  let sched_stats = C.Scheduler.stats (C.Service.scheduler service) in
-  let deferred, backpressured =
+  let counters = C.Scheduler.counters (C.Service.scheduler service) in
+  let total family =
     List.fold_left
-      (fun (d, b) (_, (c : C.Stats.sched_counters)) ->
-        (d + c.C.Stats.deferred, b + c.C.Stats.backpressured))
-      (0, 0)
-      (C.Stats.sched_kinds sched_stats)
+      (fun acc kind -> acc + int_of_float (C.Counters.get_by counters family kind))
+      0
+      (C.Counters.values counters family)
   in
+  let deferred = total C.Counters.sched_deferred in
+  let backpressured = total C.Counters.sched_backpressured in
   let footprints =
-    C.Stats.footprints (C.Controller.stats hot_ctl)
-    @ C.Stats.footprints (C.Controller.stats cold_ctl)
+    C.Ctx.footprints (C.Controller.ctx hot_ctl)
+    @ C.Ctx.footprints (C.Controller.ctx cold_ctl)
   in
   let makespan, update_wait_p95 = des_replay config footprints in
   {

@@ -236,7 +236,15 @@ let clear ?(discard = false) t =
   t.tail <- -1
 
 let stats_json t =
-  Printf.sprintf
-    {|{"policy": "%s", "capacity": %d, "resident": %d, "hits": %d, "misses": %d, "hit_ratio": %.4f, "evictions": %d, "writebacks": %d}|}
-    (policy_name t.policy) t.capacity (resident t) t.hits t.misses
-    (hit_ratio t) t.evictions t.writebacks
+  let module Json = Roll_util.Json in
+  Json.Obj
+    [
+      ("policy", Json.Str (policy_name t.policy));
+      ("capacity", Json.Int t.capacity);
+      ("resident", Json.Int (resident t));
+      ("hits", Json.Int t.hits);
+      ("misses", Json.Int t.misses);
+      ("hit_ratio", Json.fixed 4 (hit_ratio t));
+      ("evictions", Json.Int t.evictions);
+      ("writebacks", Json.Int t.writebacks);
+    ]

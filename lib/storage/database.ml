@@ -42,6 +42,8 @@ type t = {
   mutable commit_triggers : (Wal.record -> unit) list;
   mutable obs : Roll_obs.Obs.t;
   mutable wal_counters : (Roll_obs.Metrics.counter * Roll_obs.Metrics.counter) option;
+  mutable collected_by : Roll_obs.Metrics.t list;
+      (** registries already holding this store's gauge collector *)
 }
 
 type txn = {
@@ -98,6 +100,7 @@ let create ?(wall_start = 0.0) ?(wall_tick = 1.0) ?mode ?dir () =
     commit_triggers = [];
     obs = Roll_obs.Obs.disabled ();
     wal_counters = None;
+    collected_by = [];
   }
 
 let mode t = match t.backend with Mem -> Store.Mem | Disk _ -> Store.Disk
@@ -134,34 +137,40 @@ let wal t = t.wal
 let obs t = t.obs
 
 (* Storage gauges ride the metrics registry as collectors so Rollscope
-   exports see live cache and segment state without per-op overhead. *)
+   exports see live cache and segment state without per-op overhead. One
+   collector per registry: a service and each of its controllers all
+   install the same handle. *)
 let register_storage_collectors t =
+  let m = Roll_obs.Obs.metrics t.obs in
   match t.backend with
   | Mem -> ()
+  | Disk _ when List.memq m t.collected_by -> ()
   | Disk d ->
       if Roll_obs.Obs.enabled t.obs then begin
-        let m = Roll_obs.Obs.metrics t.obs in
-        let gauge name help read =
-          try
-            Roll_obs.Metrics.register_collector m ~help ~kind:Roll_obs.Metrics.Gauge
-              name (fun () -> [ ([], read ()) ])
-          with Invalid_argument _ -> ()
-        in
+        t.collected_by <- m :: t.collected_by;
         let cache = Store.cache d.store in
-        gauge "roll_store_cache_resident_pages" "Pages resident in the block cache"
-          (fun () -> float_of_int (Block_cache.resident cache));
-        gauge "roll_store_cache_hit_ratio" "Block cache hit ratio" (fun () ->
-            Block_cache.hit_ratio cache);
-        gauge "roll_store_cache_evictions" "Block cache evictions" (fun () ->
-            float_of_int (Block_cache.evictions cache));
-        gauge "roll_store_pages" "Pages allocated in the data file" (fun () ->
-            float_of_int (Pager.n_pages (Store.pager d.store)));
-        gauge "roll_store_free_pages" "Pages on the free list" (fun () ->
-            float_of_int (Pager.free_count (Store.pager d.store)));
-        gauge "roll_wal_live_segments" "Live WAL segments on disk" (fun () ->
-            float_of_int (Wal_store.live_segments d.wal_store));
-        gauge "roll_wal_reclaimed_segments" "WAL segments reclaimed by GC"
-          (fun () -> float_of_int (fst (Wal_store.reclaimed d.wal_store)))
+        let gauge name help read =
+          Roll_obs.Metrics.sample ~help ~kind:Roll_obs.Metrics.Gauge name
+            [ ([], read ()) ]
+        in
+        Roll_obs.Metrics.register_collector m (fun () ->
+            [
+              gauge "roll_store_cache_resident_pages"
+                "Pages resident in the block cache" (fun () ->
+                  float_of_int (Block_cache.resident cache));
+              gauge "roll_store_cache_hit_ratio" "Block cache hit ratio"
+                (fun () -> Block_cache.hit_ratio cache);
+              gauge "roll_store_cache_evictions" "Block cache evictions"
+                (fun () -> float_of_int (Block_cache.evictions cache));
+              gauge "roll_store_pages" "Pages allocated in the data file"
+                (fun () -> float_of_int (Pager.n_pages (Store.pager d.store)));
+              gauge "roll_store_free_pages" "Pages on the free list" (fun () ->
+                  float_of_int (Pager.free_count (Store.pager d.store)));
+              gauge "roll_wal_live_segments" "Live WAL segments on disk"
+                (fun () -> float_of_int (Wal_store.live_segments d.wal_store));
+              gauge "roll_wal_reclaimed_segments" "WAL segments reclaimed by GC"
+                (fun () -> float_of_int (fst (Wal_store.reclaimed d.wal_store)));
+            ])
       end
 
 let set_obs t obs =
@@ -466,13 +475,23 @@ let resident_pages t =
   match t.backend with Mem -> 0 | Disk d -> Store.resident_pages d.store
 
 let storage_json t =
+  let module Json = Roll_util.Json in
   match t.backend with
-  | Mem -> Printf.sprintf {|{"mode": "mem", "wal_records": %d}|} (Wal.length t.wal)
+  | Mem ->
+      Json.Obj [ ("mode", Json.Str "mem"); ("wal_records", Json.Int (Wal.length t.wal)) ]
   | Disk d ->
       let reclaimed_segments, reclaimed_upto = Wal_store.reclaimed d.wal_store in
-      Printf.sprintf
-        {|{"mode": "disk", "store": %s, "wal": {"live_segments": %d, "reclaimed_segments": %d, "reclaimed_upto": %d, "base": %d, "records": %d}}|}
-        (Store.stats_json d.store)
-        (Wal_store.live_segments d.wal_store)
-        reclaimed_segments reclaimed_upto (Wal.first_pos t.wal)
-        (Wal.length t.wal - Wal.first_pos t.wal)
+      Json.Obj
+        [
+          ("mode", Json.Str "disk");
+          ("store", Store.stats_json d.store);
+          ( "wal",
+            Json.Obj
+              [
+                ("live_segments", Json.Int (Wal_store.live_segments d.wal_store));
+                ("reclaimed_segments", Json.Int reclaimed_segments);
+                ("reclaimed_upto", Json.Int reclaimed_upto);
+                ("base", Json.Int (Wal.first_pos t.wal));
+                ("records", Json.Int (Wal.length t.wal - Wal.first_pos t.wal));
+              ] );
+        ]

@@ -45,8 +45,8 @@ val obs : t -> Roll_obs.Obs.t
 
 val set_obs : t -> Roll_obs.Obs.t -> unit
 (** Attach an observability handle. When enabled, WAL appends bump the
-    [roll_wal_records_total] / [roll_wal_changes_total] counters in its
-    registry. *)
+    WAL record and row-change counters in its registry, and a paged store
+    adds one collector of its cache and segment gauges per registry. *)
 
 val now : t -> Roll_delta.Time.t
 (** The CSN of the latest committed transaction ([Time.origin] initially).
@@ -177,5 +177,5 @@ val live_segments : t -> int
 
 val resident_pages : t -> int
 
-val storage_json : t -> string
+val storage_json : t -> Roll_util.Json.t
 (** Storage status as a JSON object (mode, cache counters, segments). *)

@@ -253,15 +253,18 @@ let hit_ratio t = Block_cache.hit_ratio t.cache
 let resident_pages t = Block_cache.resident t.cache
 
 let stats_json t =
+  let module Json = Roll_util.Json in
   locked t (fun () ->
-      Printf.sprintf
-        {|{"dir": %S, "pages": %d, "free_pages": %d, "data_csn": %d, "page_reads": %d, "page_writes": %d, "cache": %s}|}
-        t.dir (Pager.n_pages t.pager)
-        (Pager.free_count t.pager)
-        (Pager.data_csn t.pager)
-        (Pager.page_reads t.pager)
-        (Pager.page_writes t.pager)
-        (Block_cache.stats_json t.cache))
+      Json.Obj
+        [
+          ("dir", Json.Str t.dir);
+          ("pages", Json.Int (Pager.n_pages t.pager));
+          ("free_pages", Json.Int (Pager.free_count t.pager));
+          ("data_csn", Json.Int (Pager.data_csn t.pager));
+          ("page_reads", Json.Int (Pager.page_reads t.pager));
+          ("page_writes", Json.Int (Pager.page_writes t.pager));
+          ("cache", Block_cache.stats_json t.cache);
+        ])
 
 let check_invariants t =
   locked t (fun () ->

@@ -36,18 +36,21 @@ let () =
   Printf.printf "steps=%d wall=%.3f\n" steps (Unix.gettimeofday () -. t0);
   List.iter (fun ((kind, dom), n) -> Printf.printf "  %s dom%d: %d\n" kind dom n)
     (C.Service.ran_by_domain service);
+  let sched = C.Scheduler.counters (C.Service.scheduler service) in
   List.iter
-    (fun (kind, (c : C.Stats.sched_counters)) ->
-      Printf.printf "  sched %s: scheduled=%d ran=%d batched=%d deferred=%d\n"
-        kind c.C.Stats.scheduled c.C.Stats.ran c.C.Stats.batched c.C.Stats.deferred)
-    (C.Stats.sched_kinds (C.Scheduler.stats (C.Service.scheduler service)));
+    (fun kind ->
+      let n family = C.Counters.get_by sched family kind in
+      Printf.printf "  sched %s: scheduled=%.0f ran=%.0f batched=%.0f deferred=%.0f\n"
+        kind (n C.Counters.sched_scheduled) (n C.Counters.sched_ran)
+        (n C.Counters.sched_batched) (n C.Counters.sched_deferred))
+    (C.Counters.values sched C.Counters.sched_scheduled);
   List.iteri
     (fun i ctl ->
-      let st = C.Controller.stats ctl in
+      let st = C.Controller.counters ctl in
       Printf.printf
         "  view%d: queries=%d cdcalls=%d scanned=%d probed=%d emitted=%d exec_wall=%.3f\n"
-        i (C.Stats.queries st) (C.Stats.compute_delta_calls st)
-        (C.Stats.rows_scanned st) (C.Stats.rows_probed st)
-        (C.Stats.rows_emitted st) (C.Stats.exec_wall st))
+        i (C.Counters.count st C.Counters.queries) (C.Counters.count st C.Counters.compute_delta_calls)
+        (C.Counters.count st C.Counters.rows_scanned) (C.Counters.count st C.Counters.rows_probed)
+        (C.Counters.count st C.Counters.rows_emitted) (C.Counters.get st C.Counters.exec_wall))
     ctls;
   C.Service.shutdown service

@@ -157,7 +157,7 @@ let run_seed ?(sample = fun b -> b mod 4 = 0) ?obs:rollscope ~txns seed =
   in
   check_recovery seed ~algorithm ~durable s2 ctl2 ~sample;
   Alcotest.(check int) (Printf.sprintf "seed %d: one recovery counted" seed) 1
-    (C.Stats.recoveries (C.Controller.stats ctl2));
+    (C.Counters.count (C.Controller.counters ctl2) C.Counters.recoveries);
   (* Keep living: more updates and propagation on the recovered state, then
      a final end-to-end oracle check. *)
   drive (Prng.create ~seed:(seed + 1)) s2 ctl2 ~ckpt_path:None ~txns;
@@ -362,8 +362,8 @@ let run_seed_partial policy ?(sample = fun b -> b mod 4 = 0) ~txns seed =
     (C.Oracle.view_at s2.history s2.view (C.Controller.as_of ctl2))
     (C.Controller.contents ctl2);
   check_partial seed ~life:"final" s2 ctl2 ?hotset reg2;
-  let stats = C.Controller.stats ctl2 in
-  (point, hit, C.Stats.aux_hits stats + C.Stats.hot_hits stats)
+  let stats = C.Controller.counters ctl2 in
+  (point, hit, C.Counters.count stats C.Counters.aux_hits + C.Counters.count stats C.Counters.hot_hits)
 
 let run_seeds_partial policy ?sample ~txns ~first ~count () =
   let exercised = Hashtbl.create 16 in

@@ -104,24 +104,25 @@ let test_adaptive_rolling_correct () =
 (* The budget actually bounds forward-query window sizes. *)
 let test_window_sizes_near_target () =
   let star, ctx = star_with_ctx () in
+  C.Ctx.keep_footprints ctx;
   let tuner = C.Autotune.create ~target_rows:30 ctx in
   let r = C.Rolling.create ctx ~t_initial:Time.origin in
   let target = Database.now (Star.db star) in
   C.Rolling.run_until r ~target ~policy:(C.Autotune.policy tuner);
   (* Forward windows are the delta resources of single-window queries. *)
   List.iter
-    (fun (fp : C.Stats.footprint) ->
+    (fun (fp : C.Ctx.footprint) ->
       let delta_rows =
         List.fold_left
           (fun acc (resource, n) ->
             if String.length resource > 0 && resource.[0] <> '\xce' then acc
             else acc + n)
-          0 fp.C.Stats.reads
+          0 fp.C.Ctx.reads
       in
       (* Allow slack: density drifts while the workload runs. *)
       if delta_rows > 30 * 20 then
         Alcotest.failf "window of %d rows blows the budget" delta_rows)
-    (C.Stats.footprints ctx.C.Ctx.stats)
+    (C.Ctx.footprints ctx)
 
 let suite =
   [

@@ -56,16 +56,16 @@ let test_fallback_when_stale () =
   let entries = C.Partial.attach reg ctl in
   Alcotest.(check int) "one auxiliary attached" 1 (List.length entries);
   let ae = List.hd entries in
-  let stats = C.Controller.stats ctl in
+  let stats = C.Controller.counters ctl in
   Alcotest.(check int) "no probes yet" 0
-    (C.Stats.aux_hits stats + C.Stats.aux_misses stats);
+    (C.Counters.count stats C.Counters.aux_hits + C.Counters.count stats C.Counters.aux_misses);
   (* Dirty the base while nobody maintains the auxiliary: every Base-term
      read of r during propagation must fall back to the base table. *)
   random_txns rng s 25;
   C.Controller.refresh_latest ctl |> ignore;
   Alcotest.(check bool) "stale mirror missed" true
-    (C.Stats.aux_misses stats > 0);
-  Alcotest.(check int) "stale mirror never hit" 0 (C.Stats.aux_hits stats);
+    (C.Counters.count stats C.Counters.aux_misses > 0);
+  Alcotest.(check int) "stale mirror never hit" 0 (C.Counters.count stats C.Counters.aux_hits);
   Alcotest.check relation "contents correct via fallback"
     (C.Oracle.view_at s.history s.view (C.Controller.as_of ctl))
     (C.Controller.contents ctl);
@@ -76,7 +76,7 @@ let test_fallback_when_stale () =
   freshen_parts reg ~owner:"rsf";
   Alcotest.(check bool) "mirror caught up" true
     (List.for_all (C.Partial.fresh reg) reg.C.Partial.partials);
-  let misses_before = C.Stats.aux_misses stats in
+  let misses_before = (C.Counters.count stats C.Counters.aux_misses) in
   for _ = 1 to 10 do
     ignore
       (Database.run s.db (fun txn ->
@@ -84,9 +84,9 @@ let test_fallback_when_stale () =
              (Tuple.ints [ Prng.int rng 8; Prng.int rng 5 ])))
   done;
   ignore (C.Controller.refresh_latest ctl);
-  Alcotest.(check bool) "fresh mirror hit" true (C.Stats.aux_hits stats > 0);
+  Alcotest.(check bool) "fresh mirror hit" true (C.Counters.count stats C.Counters.aux_hits > 0);
   Alcotest.(check int) "fresh mirror did not miss" misses_before
-    (C.Stats.aux_misses stats);
+    (C.Counters.count stats C.Counters.aux_misses);
   Alcotest.check relation "contents correct via substitution"
     (C.Oracle.view_at s.history s.view (C.Controller.as_of ctl))
     (C.Controller.contents ctl);
@@ -117,7 +117,7 @@ let test_on_off_identical () =
     Alcotest.check relation "matches oracle"
       (C.Oracle.view_at s.history s.view (C.Controller.as_of ctl))
       final;
-    (C.Controller.stats ctl, List.rev (final :: !snaps))
+    (C.Controller.counters ctl, List.rev (final :: !snaps))
   in
   let stats_on, on = drive ~auxiliary:true in
   let _, off = drive ~auxiliary:false in
@@ -132,7 +132,7 @@ let test_on_off_identical () =
   (* The drives above exercised substitution for real: the service's aux
      band freshens the auxiliary before user steps, so probes hit. *)
   Alcotest.(check bool) "substitution actually fired" true
-    (C.Stats.aux_hits stats_on > 0)
+    (C.Counters.count stats_on C.Counters.aux_hits > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Service integration: registration, dedupe, status, orphan GC        *)
@@ -161,7 +161,9 @@ let test_service_dedupe_and_gc () =
     (List.sort String.compare p.C.Partial.owners);
   (* Status surfaces the auxiliary row and the owners' probe counters. *)
   let st =
-    List.find (fun (x : C.Service.status) -> x.C.Service.aux) (C.Service.status svc)
+    List.find
+      (fun (x : C.Service.status) -> x.C.Service.role = C.Service.Auxiliary)
+      (C.Service.status svc)
   in
   Alcotest.(check string) "status aux row" aux_name st.C.Service.name;
   (* Releasing one owner keeps the shared auxiliary alive; releasing the

@@ -61,12 +61,13 @@ let test_equation_3_query_structure () =
   let s = two_table () in
   random_txns (Prng.create ~seed:41) s 15;
   let ctx = ctx_of s in
+  C.Ctx.keep_footprints ctx;
   (* Observe the full Figure 4 structure, without the empty-window skip. *)
   ctx.C.Ctx.skip_empty_windows <- false;
   C.Compute_delta.view_delta ctx ~lo:0 ~hi:(Database.now s.db);
-  Alcotest.(check int) "four queries (Equation 3)" 4 (C.Stats.queries ctx.C.Ctx.stats);
+  Alcotest.(check int) "four queries (Equation 3)" 4 (C.Counters.count ctx.C.Ctx.counters C.Counters.queries);
   let descriptions =
-    List.map (fun fp -> fp.C.Stats.description) (C.Stats.footprints ctx.C.Ctx.stats)
+    List.map (fun (fp : C.Ctx.footprint) -> fp.description) (C.Ctx.footprints ctx)
   in
   (* Two positive forward queries, two negative compensations. *)
   let signs = List.map (fun d -> d.[0]) descriptions in
@@ -98,7 +99,7 @@ let count_queries n =
   let ctx = C.Ctx.create db capture view in
   ctx.C.Ctx.skip_empty_windows <- false;
   C.Compute_delta.view_delta ctx ~lo:0 ~hi:(Database.now db);
-  C.Stats.queries ctx.C.Ctx.stats
+  C.Counters.count ctx.C.Ctx.counters C.Counters.queries
 
 (* The recursion produces Sum_{i=1..n} 2^(i-1)... = 2^n - 1 plus the extra
    compensations of compensations; what matters here is determinism and
@@ -163,7 +164,7 @@ let test_single_relation_view () =
   ignore (Database.run db (fun txn -> Database.insert txn ~table:"t" (Tuple.ints [ 7 ])));
   let ctx = C.Ctx.create db capture view in
   C.Compute_delta.view_delta ctx ~lo:0 ~hi:(Database.now db);
-  Alcotest.(check int) "one query" 1 (C.Stats.queries ctx.C.Ctx.stats);
+  Alcotest.(check int) "one query" 1 (C.Counters.count ctx.C.Ctx.counters C.Counters.queries);
   Alcotest.(check int) "one row" 1 (Delta.length ctx.C.Ctx.out)
 
 (* Consecutive ComputeDelta runs over adjacent intervals compose into a
@@ -202,7 +203,7 @@ let test_skip_ablation_equivalence () =
     then Alcotest.failf "prefix %d differs with skip on/off" b
   done;
   Alcotest.(check bool) "skip saves queries" true
-    (C.Stats.queries ctx_skip.C.Ctx.stats < C.Stats.queries ctx_full.C.Ctx.stats)
+    (C.Counters.count ctx_skip.C.Ctx.counters C.Counters.queries < C.Counters.count ctx_full.C.Ctx.counters C.Counters.queries)
 
 let suite =
   [

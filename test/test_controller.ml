@@ -103,7 +103,7 @@ let test_stats_exposed () =
   random_txns (Prng.create ~seed:100) s 10;
   ignore (C.Controller.refresh_latest controller);
   Alcotest.(check bool) "queries counted" true
-    (C.Stats.queries (C.Controller.stats controller) > 0)
+    (C.Counters.count (C.Controller.counters controller) C.Counters.queries > 0)
 
 let test_geometry_option () =
   let s = two_table () in

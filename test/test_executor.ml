@@ -171,18 +171,19 @@ let test_execute_stats_and_marker () =
   let s = two_table () in
   random_txns (Prng.create ~seed:30) s 10;
   let ctx = ctx_of s in
+  C.Ctx.keep_footprints ctx;
   let before = Database.now s.db in
   let t_exec =
     C.Executor.execute ctx ~sign:1 [| C.Pquery.Win { lo = 0; hi = before }; C.Pquery.Base |]
   in
   Alcotest.(check int) "marker consumed a csn" (before + 1) t_exec;
-  Alcotest.(check int) "one query recorded" 1 (C.Stats.queries ctx.C.Ctx.stats);
-  match C.Stats.footprints ctx.C.Ctx.stats with
+  Alcotest.(check int) "one query recorded" 1 (C.Counters.count ctx.C.Ctx.counters C.Counters.queries);
+  match C.Ctx.footprints ctx with
   | [ fp ] ->
-      Alcotest.(check int) "exec time" t_exec fp.C.Stats.exec;
-      Alcotest.(check int) "two resources read" 2 (List.length fp.C.Stats.reads);
+      Alcotest.(check int) "exec time" t_exec fp.C.Ctx.exec;
+      Alcotest.(check int) "two resources read" 2 (List.length fp.C.Ctx.reads);
       Alcotest.(check bool) "delta resource named" true
-        (List.exists (fun (r, _) -> r = "\xce\x94r") fp.C.Stats.reads)
+        (List.exists (fun (r, _) -> r = "\xce\x94r") fp.C.Ctx.reads)
   | _ -> Alcotest.fail "expected one footprint"
 
 let test_execute_sign () =

@@ -265,7 +265,7 @@ let test_on_off_identical () =
       (C.Oracle.view_at s.history s.view (C.Controller.as_of ctl))
       final;
     C.Service.shutdown svc;
-    (C.Controller.stats ctl, List.rev (final :: !snaps))
+    (C.Controller.counters ctl, List.rev (final :: !snaps))
   in
   (* Every pool width: probes run on wave workers and never pump, so the
      drain must keep the partitions fresh on every width alike. *)
@@ -289,19 +289,19 @@ let test_on_off_identical () =
         (Printf.sprintf "%d domains: heavy-light substitution actually fired"
            domains)
         true
-        (C.Stats.hot_hits hot > 0);
+        (C.Counters.count hot C.Counters.hot_hits > 0);
       let both, on = drive ~domains ~auxiliary:true ~hotset:true in
       identical "auxiliaries + hotset" on;
       Alcotest.(check bool)
         (Printf.sprintf "%d domains: auxiliary substitution fired" domains)
         true
-        (C.Stats.aux_hits both > 0);
+        (C.Counters.count both C.Counters.aux_hits > 0);
       Alcotest.(check int)
         (Printf.sprintf
            "%d domains: the auxiliary takes precedence over the partition"
            domains)
         0
-        (C.Stats.hot_hits both))
+        (C.Counters.count both C.Counters.hot_hits))
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
@@ -370,13 +370,13 @@ let test_service_dedupe_and_orphans () =
   done;
   let heavy_lag =
     List.fold_left
-      (fun acc n -> max acc (status_of n).C.Service.aux_lag)
+      (fun acc n -> max acc (status_of n).C.Service.partial_lag)
       0 heavy_names
   in
   Alcotest.(check bool) "lagging heavy partial reports its lag" true
     (heavy_lag > 0);
   Alcotest.(check bool) "owner reports its worst part lag" true
-    ((status_of "rsf").C.Service.aux_lag >= heavy_lag);
+    ((status_of "rsf").C.Service.partial_lag >= heavy_lag);
   (* Heavy partials cannot be unregistered directly. *)
   (match heavy_names with
   | n :: _ ->

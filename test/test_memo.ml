@@ -113,9 +113,9 @@ let test_sibling_sharing () =
   C.Compute_delta.view_delta ctx_a ~lo:0 ~hi;
   C.Compute_delta.view_delta ctx_b ~lo:0 ~hi;
   Alcotest.(check bool) "twin replayed from the memo" true
-    (C.Stats.memo_hits ctx_b.C.Ctx.stats > 0);
+    (C.Counters.count ctx_b.C.Ctx.counters C.Counters.memo_hits > 0);
   Alcotest.(check int) "twin executed no queries" 0
-    (C.Stats.queries ctx_b.C.Ctx.stats);
+    (C.Counters.count ctx_b.C.Ctx.counters C.Counters.queries);
   Alcotest.(check relation) "identical net effects"
     (Delta.net_effect ctx_a.C.Ctx.out ~lo:0 ~hi)
     (Delta.net_effect ctx_b.C.Ctx.out ~lo:0 ~hi);
@@ -148,9 +148,9 @@ let test_memoized_empty_windows () =
   C.Compute_delta.view_delta ctx_a ~lo:0 ~hi;
   C.Compute_delta.view_delta ctx_b ~lo:0 ~hi;
   Alcotest.(check bool) "twin replayed (including empty computations)" true
-    (C.Stats.memo_hits ctx_b.C.Ctx.stats > 0);
+    (C.Counters.count ctx_b.C.Ctx.counters C.Counters.memo_hits > 0);
   Alcotest.(check int) "twin executed no queries" 0
-    (C.Stats.queries ctx_b.C.Ctx.stats);
+    (C.Counters.count ctx_b.C.Ctx.counters C.Counters.queries);
   check_ok
     (C.Oracle.check_timed_view_delta s.history s.view ctx_a.C.Ctx.out ~lo:0 ~hi);
   check_ok
@@ -183,10 +183,10 @@ let test_retry_evicts_aborted_entries () =
   | Error (e : C.Service.step_error) ->
       Alcotest.failf "permanent failure at %s after %d attempts" e.point
         e.attempts);
-  let stats = C.Controller.stats ctl in
-  Alcotest.(check bool) "the step was retried" true (C.Stats.retries stats > 0);
+  let stats = C.Controller.counters ctl in
+  Alcotest.(check bool) "the step was retried" true (C.Counters.count stats C.Counters.retries > 0);
   Alcotest.(check int) "the retry recomputed instead of replaying" 0
-    (C.Stats.memo_hits stats);
+    (C.Counters.count stats C.Counters.memo_hits);
   ignore (C.Controller.refresh_latest ctl);
   Alcotest.(check relation) "contents match the oracle"
     (C.Oracle.view_at s.history s.view (C.Controller.as_of ctl))
@@ -216,7 +216,7 @@ let test_service_sharing_end_to_end () =
   C.Service.refresh_all service;
   let hits =
     List.fold_left
-      (fun acc ctl -> acc + C.Stats.memo_hits (C.Controller.stats ctl))
+      (fun acc ctl -> acc + C.Counters.count (C.Controller.counters ctl) C.Counters.memo_hits)
       0 ctls
   in
   Alcotest.(check bool) "siblings shared work" true (hits > 0);
@@ -227,7 +227,12 @@ let test_service_sharing_end_to_end () =
         (C.Oracle.view_at s.history v (C.Controller.as_of ctl))
         (C.Controller.contents ctl))
     siblings ctls;
-  let batched = (C.Stats.sched_kind (C.Scheduler.stats (C.Service.scheduler service)) "propagate").C.Stats.batched in
+  let batched =
+    int_of_float
+      (C.Counters.get_by
+         (C.Scheduler.counters (C.Service.scheduler service))
+         C.Counters.sched_batched "propagate")
+  in
   Alcotest.(check bool) "drains batched same-window steps" true (batched > 0)
 
 let suite =

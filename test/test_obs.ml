@@ -13,6 +13,8 @@ module Metrics = Roll_obs.Metrics
 module Export = Roll_obs.Export
 module Obs = Roll_obs.Obs
 module W = Roll_workload
+module Json = Roll_util.Json
+module Tuple = Roll_relation.Tuple
 
 let raises_invalid f =
   match f () with
@@ -188,10 +190,10 @@ let test_metrics_basics () =
 let test_collectors_merge () =
   let m = Metrics.create () in
   let a = ref 1. and b = ref 2. in
-  Metrics.register_collector m ~kind:Metrics.Gauge "roll_pool" (fun () ->
-      [ ([ ("view", "a") ], !a) ]);
-  Metrics.register_collector m ~kind:Metrics.Gauge "roll_pool" (fun () ->
-      [ ([ ("view", "b") ], !b) ]);
+  Metrics.register_collector m (fun () ->
+      [ Metrics.sample ~kind:Metrics.Gauge "roll_pool" [ ([ ("view", "a") ], !a) ] ]);
+  Metrics.register_collector m (fun () ->
+      [ Metrics.sample ~kind:Metrics.Gauge "roll_pool" [ ([ ("view", "b") ], !b) ] ]);
   let family =
     List.find
       (fun (sf : Metrics.sample_family) -> sf.Metrics.sf_name = "roll_pool")
@@ -202,10 +204,9 @@ let test_collectors_merge () =
   a := 10.;
   Alcotest.(check (option (float 0.))) "live read-through" (Some 10.)
     (Metrics.find_value m ~labels:[ ("view", "a") ] "roll_pool");
-  Alcotest.(check bool) "histogram collector refused" true
+  Alcotest.(check bool) "histogram sample refused" true
     (raises_invalid (fun () ->
-         Metrics.register_collector m ~kind:Metrics.Histogram "roll_h"
-           (fun () -> [])))
+         Metrics.sample ~kind:Metrics.Histogram "roll_h" []))
 
 let test_snapshot_sorted () =
   let m = Metrics.create () in
@@ -246,26 +247,29 @@ let golden_trace () =
 
 let test_chrome_trace_golden () =
   let expected =
-    "{\"traceEvents\": [\n\
-    \  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"args\": \
+    "{\n\
+    \  \"traceEvents\": [\n\
+    \    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"args\": \
      {\"name\": \"test\"}},\n\
-    \  {\"name\": \"propagate.step\", \"cat\": \"propagate\", \"ph\": \"X\", \
+    \    {\"name\": \"propagate.step\", \"cat\": \"propagate\", \"ph\": \"X\", \
      \"ts\": 1000000, \"dur\": 1500000, \"pid\": 1, \"tid\": 1, \"args\": \
      {\"view\": \"rs\", \"status\": \"ok\"}},\n\
-    \  {\"name\": \"exec.query\", \"cat\": \"exec\", \"ph\": \"X\", \"ts\": \
+    \    {\"name\": \"exec.query\", \"cat\": \"exec\", \"ph\": \"X\", \"ts\": \
      1500000, \"dur\": 500000, \"pid\": 1, \"tid\": 1, \"args\": {\"rows\": \
      3, \"status\": \"ok\"}}\n\
-     ], \"displayTimeUnit\": \"ms\"}\n"
+    \  ],\n\
+    \  \"displayTimeUnit\": \"ms\"\n\
+     }\n"
   in
   Alcotest.(check string) "chrome trace" expected
     (Export.chrome_trace ~process:"test" (golden_trace ()))
 
 let test_spans_jsonl_golden () =
   let expected =
-    "{\"id\": 1, \"parent\": 0, \"depth\": 0, \"name\": \"propagate.step\", \
-     \"start\": 1, \"stop\": 2.5, \"view\": \"rs\", \"status\": \"ok\"}\n\
-     {\"id\": 2, \"parent\": 1, \"depth\": 1, \"name\": \"exec.query\", \
-     \"start\": 1.5, \"stop\": 2, \"rows\": 3, \"status\": \"ok\"}\n"
+    "{\"id\":1,\"parent\":0,\"depth\":0,\"name\":\"propagate.step\",\
+     \"start\":1,\"stop\":2.5,\"view\":\"rs\",\"status\":\"ok\"}\n\
+     {\"id\":2,\"parent\":1,\"depth\":1,\"name\":\"exec.query\",\
+     \"start\":1.5,\"stop\":2,\"rows\":3,\"status\":\"ok\"}\n"
   in
   Alcotest.(check string) "spans jsonl" expected
     (Export.spans_jsonl (golden_trace ()))
@@ -279,8 +283,8 @@ let test_prometheus_golden () =
   Metrics.set g 4.5;
   let h = Metrics.histogram m ~buckets:[| 0.1; 1. |] "roll_demo_seconds" in
   List.iter (Metrics.observe h) [ 0.05; 0.5; 5. ];
-  Metrics.register_collector m ~kind:Metrics.Gauge "roll_demo_collected"
-    (fun () -> [ ([ ("k", "a") ], 7.) ]);
+  Metrics.register_collector m (fun () ->
+      [ Metrics.sample ~kind:Metrics.Gauge "roll_demo_collected" [ ([ ("k", "a") ], 7.) ] ]);
   let expected =
     "# TYPE roll_demo_collected gauge\n\
      roll_demo_collected{k=\"a\"} 7\n\
@@ -413,7 +417,7 @@ let test_observed_service_drain () =
           s.Trace.id)
     (Trace.find trace ~name:"compute_delta.node");
   (* The advertised metrics: step-latency histograms per item kind and the
-     per-view memo hit ratio, exposable as Prometheus text. *)
+     per-view memo counters, exposable as Prometheus text. *)
   let m = Obs.metrics obs in
   let latency =
     List.find_opt
@@ -436,16 +440,190 @@ let test_observed_service_drain () =
   (match
      Metrics.find_value m
        ~labels:[ ("view", C.View.name view) ]
-       "roll_memo_hit_ratio"
+       "roll_memo_hits_total"
    with
   | Some _ -> ()
-  | None -> Alcotest.fail "no per-view roll_memo_hit_ratio gauge");
+  | None -> Alcotest.fail "no per-view roll_memo_hits_total counter");
   let prom = Export.prometheus m in
   Alcotest.(check bool) "prometheus text mentions latency" true
     (contains prom "roll_item_latency_seconds_bucket");
   let chrome = Export.chrome_trace trace in
   Alcotest.(check bool) "chrome export mentions propagate" true
     (contains chrome "\"propagate.step\"")
+
+(* ------------------------------------------------------------------ *)
+(* One store: the service's collector walks its live views              *)
+
+let rolling n = C.Controller.Rolling (C.Rolling.uniform n)
+
+(* Skewed R rows (a few heavy join keys) and a few S rows, so sharing,
+   the auxiliary and the hotset all have work. *)
+let skewed_churn s ~rng ~n =
+  let zipf = Roll_util.Zipf.create ~n:8 ~theta:1.5 in
+  for i = 1 to n do
+    ignore
+      (Database.run s.db (fun txn ->
+           Database.insert txn ~table:"r"
+             (Tuple.ints
+                [ Roll_util.Zipf.sample zipf rng; Prng.int rng 5; Prng.int rng 5 ]);
+           if i mod 5 = 0 then
+             Database.insert txn ~table:"s"
+               (Tuple.ints [ Prng.int rng 8; Prng.int rng 5 ])))
+  done
+
+let view_series snapshot view =
+  List.concat_map
+    (fun (sf : Metrics.sample_family) ->
+      List.filter_map
+        (fun (p : Metrics.point) ->
+          if List.assoc_opt "view" p.Metrics.p_labels = Some view then
+            Some (sf.Metrics.sf_name, p.Metrics.p_labels)
+          else None)
+        sf.Metrics.points)
+    snapshot
+
+let test_unregister_drops_series () =
+  let s = filtered () in
+  let obs = Obs.create ~clock:(Clock.manual ()) () in
+  let svc =
+    C.Service.create ~obs ~sharing:false ~auxiliary:true ~hotset:false s.db
+      s.capture
+  in
+  let m = Obs.metrics obs in
+  let rng = Prng.create ~seed:3 in
+  let register () =
+    ignore (C.Service.register svc ~algorithm:(rolling 3) s.view);
+    skewed_churn s ~rng ~n:10;
+    ignore (C.Service.step_all svc ~budget:max_int)
+  in
+  register ();
+  let parts = List.filter (fun n -> n <> "rsf") (C.Service.names svc) in
+  Alcotest.(check bool) "an auxiliary entry exists" true (parts <> []);
+  Alcotest.(check bool) "the view exports series" true
+    (view_series (Metrics.snapshot m) "rsf" <> []);
+  C.Service.unregister svc "rsf";
+  List.iter
+    (fun v ->
+      Alcotest.(check (list (pair string (list (pair string string)))))
+        (v ^ " leaves no series") []
+        (view_series (Metrics.snapshot m) v))
+    ("rsf" :: parts);
+  (* Three more register/unregister cycles, then a fourth registration:
+     one series per metric and label set, as after the first. *)
+  for _ = 1 to 3 do
+    register ();
+    C.Service.unregister svc "rsf"
+  done;
+  register ();
+  let series = view_series (Metrics.snapshot m) "rsf" in
+  Alcotest.(check int) "no duplicate series"
+    (List.length (List.sort_uniq compare series))
+    (List.length series);
+  Alcotest.(check int) "one roll_view_hwm point for the view" 1
+    (List.length (List.filter (fun (n, _) -> n = "roll_view_hwm") series));
+  let hwm_points =
+    match
+      List.find_opt
+        (fun (sf : Metrics.sample_family) -> sf.Metrics.sf_name = "roll_view_hwm")
+        (Metrics.snapshot m)
+    with
+    | Some sf -> List.length sf.Metrics.points
+    | None -> 0
+  in
+  Alcotest.(check int) "one roll_view_hwm point per live entry"
+    (List.length (C.Service.names svc))
+    hwm_points;
+  C.Service.shutdown svc
+
+(* [name{view="v"} value] in a Prometheus exposition. *)
+let prom_value text ~name ~view =
+  let prefix = Printf.sprintf "%s{view=\"%s\"} " name view in
+  let n = String.length prefix in
+  List.find_map
+    (fun line ->
+      if String.length line > n && String.sub line 0 n = prefix then
+        float_of_string_opt (String.sub line n (String.length line - n))
+      else None)
+    (String.split_on_char '\n' text)
+
+let test_status_is_the_export () =
+  let s = filtered () in
+  let obs = Obs.create ~clock:(Clock.manual ()) () in
+  let svc =
+    C.Service.create ~obs ~sharing:true ~auxiliary:true ~hotset:true
+      ~default_sla:500 s.db s.capture
+  in
+  ignore (C.Service.register svc ~algorithm:(rolling 3) s.view);
+  let twin = clone_view s.db s.view ~name:"rsf2" in
+  ignore (C.Service.register svc ~algorithm:(rolling 3) twin);
+  let rng = Prng.create ~seed:11 in
+  for _ = 1 to 6 do
+    skewed_churn s ~rng ~n:20;
+    ignore (C.Service.step_all svc ~budget:12);
+    ignore (C.Service.step_all svc ~budget:12);
+    C.Service.refresh_all svc
+  done;
+  let status = C.Service.status svc in
+  Alcotest.(check bool) "a heavy partial is live" true
+    (List.exists
+       (fun (st : C.Service.status) -> st.C.Service.role = C.Service.Heavy_partial)
+       status);
+  Alcotest.(check bool) "the memo served a replay" true
+    (List.exists
+       (fun (st : C.Service.status) ->
+         C.Service.count st C.Counters.memo_hits > 0)
+       status);
+  let prom = Export.prometheus (Obs.metrics obs) in
+  (* A valid exposition names each series once (storage gauges included,
+     under ROLL_STORE=disk). *)
+  let series =
+    List.filter_map
+      (fun line ->
+        if line = "" || line.[0] = '#' then None
+        else Some (List.hd (String.split_on_char ' ' line)))
+      (String.split_on_char '\n' prom)
+  in
+  Alcotest.(check int) "no duplicate series"
+    (List.length (List.sort_uniq String.compare series))
+    (List.length series);
+  List.iter
+    (fun (st : C.Service.status) ->
+      List.iter
+        (fun (sf : Metrics.sample_family) ->
+          List.iter
+            (fun (p : Metrics.point) ->
+              if p.Metrics.p_labels = [] then
+                match prom_value prom ~name:sf.Metrics.sf_name ~view:st.C.Service.name with
+                | None ->
+                    Alcotest.failf "%s of %s missing from the export"
+                      sf.Metrics.sf_name st.C.Service.name
+                | Some v ->
+                    if Float.abs (v -. p.Metrics.p_value) > 1e-6 *. Float.abs v
+                    then
+                      Alcotest.failf "%s of %s: status %g, export %g"
+                        sf.Metrics.sf_name st.C.Service.name p.Metrics.p_value v)
+            sf.Metrics.points)
+        st.C.Service.counters;
+      Alcotest.(check (option (float 0.)))
+        (st.C.Service.name ^ " hwm gauge")
+        (Some (float_of_int st.C.Service.hwm))
+        (prom_value prom ~name:"roll_view_hwm" ~view:st.C.Service.name))
+    status;
+  (* Every JSON report prints as text the codec parses back unchanged. *)
+  List.iter
+    (fun (what, json) ->
+      let text = Json.to_string json in
+      match Json.of_string_opt text with
+      | Some back when back = json -> ()
+      | Some _ -> Alcotest.failf "%s changed on a round trip" what
+      | None -> Alcotest.failf "%s does not parse: %s" what text)
+    [
+      ("status_json", C.Service.status_json svc);
+      ("schedule_json", C.Service.schedule_json ~full:true svc);
+      ("shards_json", C.Service.shards_json ~full:true svc);
+      ("storage_json", Database.storage_json s.db);
+    ];
+  C.Service.shutdown svc
 
 let suite =
   [
@@ -469,4 +647,8 @@ let suite =
       test_trace_integrity_under_crash;
     Alcotest.test_case "observed service drain" `Quick
       test_observed_service_drain;
+    Alcotest.test_case "unregister drops a view's series" `Quick
+      test_unregister_drops_series;
+    Alcotest.test_case "status counters are the export" `Quick
+      test_status_is_the_export;
   ]

@@ -530,7 +530,7 @@ let test_service_gc_reclaims_segments () =
     (Database.live_segments s.db < before);
   Alcotest.(check bool) "wal base advanced" true (Database.wal_base s.db > 0);
   Alcotest.(check bool) "reclaim visible in storage_json" true
-    (contains (Database.storage_json s.db) "\"reclaimed_segments\"");
+    (contains (Roll_util.Json.to_string (Database.storage_json s.db)) "\"reclaimed_segments\"");
   (* History now replays from the reclaimed base state: the oracle must
      still agree with the controller, and must refuse reclaimed times. *)
   random_txns rng s 30;

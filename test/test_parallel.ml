@@ -3,7 +3,7 @@
    runs every wave on the caller — same view-delta
    rows, same frontier vectors, same durable frontier markers, same
    contents vs the oracle — across fault-harness seeds, while the
-   domain-safe Stats and Memo structures keep exact totals under
+   domain-safe Counters and Memo structures keep exact totals under
    concurrent hammering. *)
 
 open Test_support.Helpers
@@ -196,31 +196,35 @@ let test_ran_by_domain () =
     C.Service.shutdown service
   end
 
-(* Stats under concurrent hammering from N domains: every counter lands,
-   exact totals. *)
+(* Counters under concurrent hammering from N domains: every increment
+   lands, exact totals, on resolved and labeled series alike. *)
 let test_stats_hammer () =
-  let st = C.Stats.create () in
+  let st = C.Counters.create () in
   let n_dom = 4 and per = 25_000 in
   let doms =
     List.init n_dom (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per do
-              C.Stats.incr_retries st;
-              C.Stats.incr_memo_hits st;
-              C.Stats.add_shared_builds st 2;
-              C.Stats.record_exec st ~scanned:1 ~probed:2 ~hash_builds:1
-                ~wall:0.001
+              C.Counters.incr st C.Counters.retries;
+              C.Counters.incr st C.Counters.memo_hits;
+              C.Counters.add st C.Counters.shared_builds 2.;
+              C.Counters.add st C.Counters.rows_scanned 1.;
+              C.Counters.add st C.Counters.rows_probed 2.;
+              C.Counters.incr st C.Counters.hash_builds;
+              C.Counters.add_by st C.Counters.resource_scanned "r" 1.
             done))
   in
   List.iter Domain.join doms;
   let total = n_dom * per in
-  Alcotest.(check int) "retries exact" total (C.Stats.retries st);
-  Alcotest.(check int) "memo hits exact" total (C.Stats.memo_hits st);
+  Alcotest.(check int) "retries exact" total (C.Counters.count st C.Counters.retries);
+  Alcotest.(check int) "memo hits exact" total (C.Counters.count st C.Counters.memo_hits);
   Alcotest.(check int) "shared builds exact" (2 * total)
-    (C.Stats.shared_builds st);
-  Alcotest.(check int) "rows scanned exact" total (C.Stats.rows_scanned st);
-  Alcotest.(check int) "rows probed exact" (2 * total) (C.Stats.rows_probed st);
-  Alcotest.(check int) "hash builds exact" total (C.Stats.hash_builds st)
+    (C.Counters.count st C.Counters.shared_builds);
+  Alcotest.(check int) "rows scanned exact" total (C.Counters.count st C.Counters.rows_scanned);
+  Alcotest.(check int) "rows probed exact" (2 * total) (C.Counters.count st C.Counters.rows_probed);
+  Alcotest.(check int) "hash builds exact" total (C.Counters.count st C.Counters.hash_builds);
+  Alcotest.(check (float 0.)) "labeled series exact" (float_of_int total)
+    (C.Counters.get_by st C.Counters.resource_scanned "r")
 
 (* Memo under concurrent fills from N owner slots: every entry lands and
    hits count exactly; an owner-scoped eviction drops exactly that owner's

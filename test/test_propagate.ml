@@ -105,7 +105,7 @@ let test_interval_query_tradeoff () =
     let ctx = ctx_of s in
     let p = C.Propagate.create ctx ~t_initial:Time.origin in
     C.Propagate.run_until p ~target:(Database.now s.db) ~interval;
-    C.Stats.queries ctx.C.Ctx.stats
+    C.Counters.count ctx.C.Ctx.counters C.Counters.queries
   in
   let small = queries_with 2 in
   let large = queries_with 40 in

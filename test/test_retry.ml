@@ -92,10 +92,10 @@ let test_retry_rolls_back_partial_step () =
   (match C.Service.try_step_all ~sleep:(fun _ -> ()) service ~budget:1000 ~retry with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "unexpected permanent failure at %s" e.C.Service.point);
-  let stats = C.Controller.stats ctl in
-  Alcotest.(check int) "two retries" 2 (C.Stats.retries stats);
-  Alcotest.(check int) "one recovery" 1 (C.Stats.recoveries stats);
-  Alcotest.(check int) "no aborts" 0 (C.Stats.aborts stats);
+  let stats = C.Controller.counters ctl in
+  Alcotest.(check int) "two retries" 2 (C.Counters.count stats C.Counters.retries);
+  Alcotest.(check int) "one recovery" 1 (C.Counters.count stats C.Counters.recoveries);
+  Alcotest.(check int) "no aborts" 0 (C.Counters.count stats C.Counters.aborts);
   let target = C.Controller.hwm ctl in
   check_ok
     (C.Oracle.check_timed_view_delta s.history s.view
@@ -127,9 +127,10 @@ let test_permanent_failure_through_service () =
   Alcotest.(check int) "aborted step left no partial rows" before
     (Roll_delta.Delta.length (C.Controller.ctx ctl).C.Ctx.out);
   let st = List.hd (C.Service.status service) in
-  Alcotest.(check int) "status retries" 2 st.C.Service.retries;
-  Alcotest.(check int) "status aborts" 1 st.C.Service.aborts;
-  Alcotest.(check int) "status recoveries" 0 st.C.Service.recoveries
+  Alcotest.(check int) "status retries" 2 (C.Service.count st C.Counters.retries);
+  Alcotest.(check int) "status aborts" 1 (C.Service.count st C.Counters.aborts);
+  Alcotest.(check int) "status recoveries" 0
+    (C.Service.count st C.Counters.recoveries)
 
 let suite =
   [

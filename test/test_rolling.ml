@@ -186,14 +186,14 @@ let test_deferred_fewer_queries_than_propagate () =
     let r = C.Rolling_deferred.create ctx ~t_initial:Time.origin in
     C.Rolling_deferred.run_until r ~target:(Database.now s.db)
       ~policy:(C.Rolling_deferred.per_relation [| 20; 4 |]);
-    C.Stats.queries ctx.C.Ctx.stats
+    C.Counters.count ctx.C.Ctx.counters C.Counters.queries
   in
   let propagate =
     let s = scenario () in
     let ctx = ctx_of s in
     let p = C.Propagate.create ctx ~t_initial:Time.origin in
     C.Propagate.run_until p ~target:(Database.now s.db) ~interval:4;
-    C.Stats.queries ctx.C.Ctx.stats
+    C.Counters.count ctx.C.Ctx.counters C.Counters.queries
   in
   Alcotest.(check bool)
     (Printf.sprintf "deferred (%d) < propagate (%d)" deferred propagate)

@@ -7,8 +7,8 @@ module Harness = Test_support.Fault_harness
 module Fault = Roll_util.Fault
 module C = Roll_core
 
-let sched_counter service kind =
-  C.Stats.sched_kind (C.Scheduler.stats (C.Service.scheduler service)) kind
+let sched_counter service family kind =
+  C.Counters.get_by (C.Scheduler.counters (C.Service.scheduler service)) family kind
 
 (* Two single-source views over the two_table scenario, so propagation
    stays legal while the scheduler (not the context) drives capture:
@@ -59,13 +59,13 @@ let test_backpressure () =
     (Roll_capture.Capture.lag s.capture > 0);
   let steps = C.Service.step_all service ~budget:1000 in
   Alcotest.(check bool) "steps ran" true (steps > 0);
-  let propagate = sched_counter service "propagate" in
-  let capture = sched_counter service "capture" in
+  let propagate family = sched_counter service family "propagate" in
+  let capture family = sched_counter service family "capture" in
   Alcotest.(check bool) "propagate steps were deferred" true
-    (propagate.C.Stats.deferred > 0);
+    (propagate C.Counters.sched_deferred > 0.);
   Alcotest.(check bool) "capture was boosted by backpressure" true
-    (capture.C.Stats.backpressured > 0);
-  Alcotest.(check bool) "capture advances ran" true (capture.C.Stats.ran > 0);
+    (capture C.Counters.sched_backpressured > 0.);
+  Alcotest.(check bool) "capture advances ran" true (capture C.Counters.sched_ran > 0.);
   List.iter
     (fun (st : C.Service.status) ->
       Alcotest.(check int) (st.name ^ " caught up") 0 st.staleness)
@@ -88,9 +88,9 @@ let test_backpressure_with_faults () =
   | Error (e : C.Service.step_error) ->
       Alcotest.failf "drain failed permanently: %s at %s" e.view e.point);
   Alcotest.(check bool) "capture retries counted" true
-    (C.Stats.retries (C.Scheduler.stats (C.Service.scheduler service)) > 0);
+    (C.Counters.count (C.Scheduler.counters (C.Service.scheduler service)) C.Counters.retries > 0);
   Alcotest.(check bool) "backpressure fired" true
-    ((sched_counter service "capture").C.Stats.backpressured > 0);
+    (sched_counter service C.Counters.sched_backpressured "capture" > 0.);
   List.iter (check_view_contents s service) (C.Service.names service)
 
 (* A capture advance that keeps failing surfaces as a typed step_error
@@ -164,11 +164,11 @@ let test_maintain_full_drain () =
   | Error (e : C.Service.step_error) ->
       Alcotest.failf "maintain failed: %s at %s" e.view e.point);
   Alcotest.(check bool) "apply ran" true
-    ((sched_counter service "apply").C.Stats.ran > 0);
+    (sched_counter service C.Counters.sched_ran "apply" > 0.);
   Alcotest.(check bool) "checkpoint ran" true
-    ((sched_counter service "checkpoint").C.Stats.ran > 0);
+    (sched_counter service C.Counters.sched_ran "checkpoint" > 0.);
   Alcotest.(check bool) "gc ran" true
-    ((sched_counter service "gc").C.Stats.ran > 0);
+    (sched_counter service C.Counters.sched_ran "gc" > 0.);
   Alcotest.(check bool) "checkpoint file written" true (Sys.file_exists ckpt);
   Alcotest.(check bool) "stored view rolled forward" true
     (C.Controller.as_of ctl > 0);
@@ -211,7 +211,7 @@ let test_pause_crash_recover () =
     (C.Oracle.view_at s2.history s2.view (C.Controller.as_of ctl2))
     (C.Controller.contents ctl2);
   Alcotest.(check int) "one recovery counted" 1
-    (C.Stats.recoveries (C.Controller.stats ctl2));
+    (C.Counters.count (C.Controller.counters ctl2) C.Counters.recoveries);
   (* The revived service picks the view up where the pause left it. *)
   Alcotest.(check bool) "recovered view is not paused" true
     (C.Service.step_all service2 ~budget:1000 > 0);
@@ -268,9 +268,9 @@ let test_reader_boost_below_backpressure () =
   let steps = C.Service.step_all service ~budget:1000 in
   Alcotest.(check bool) "steps ran" true (steps > 0);
   Alcotest.(check bool) "boosted propagate steps still deferred" true
-    ((sched_counter service "propagate").C.Stats.deferred > 0);
+    (sched_counter service C.Counters.sched_deferred "propagate" > 0.);
   Alcotest.(check bool) "capture still boosted ahead of readers" true
-    ((sched_counter service "capture").C.Stats.backpressured > 0);
+    (sched_counter service C.Counters.sched_backpressured "capture" > 0.);
   List.iter
     (fun (st : C.Service.status) ->
       Alcotest.(check int) (st.name ^ " caught up") 0 st.staleness)

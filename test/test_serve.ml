@@ -9,7 +9,7 @@ open Test_support.Helpers
 module C = Roll_core
 module S = Roll_serve
 module P = Roll_serve.Protocol
-module Json = Roll_serve.Json
+module Json = Roll_util.Json
 module Prng = Roll_util.Prng
 module Fault = Roll_util.Fault
 module Retry = Roll_util.Retry
@@ -217,14 +217,16 @@ let test_admission () =
   Alcotest.(check int) "nothing left pending" 0 (S.Engine.pending engine);
   Alcotest.(check int) "one read served" 1 (S.Engine.reads_served engine);
   Alcotest.(check int) "two reads rejected" 2 (S.Engine.reads_rejected engine);
-  (* The serve and the typed rejects land in the view's Stats and in
+  (* The serve and the typed rejects land in the view's counters and in
      status_json for rollctl status --json. *)
   Alcotest.(check int) "stats reads_served" 1
-    (C.Stats.reads_served (C.Controller.stats ctl));
+    (C.Counters.count (C.Controller.counters ctl) C.Counters.reads_served);
   Alcotest.(check bool) "stats reads_rejected counted" true
-    (C.Stats.reads_rejected (C.Controller.stats ctl) > 0);
+    (C.Counters.count (C.Controller.counters ctl) C.Counters.reads_rejected > 0);
   Alcotest.(check bool) "status_json surfaces read counters" true
-    (contains (C.Service.status_json service) "\"reads_served\":1")
+    (contains
+       (Json.to_string (C.Service.status_json service))
+       "\"roll_reads_served_total\":1")
 
 let test_fresh_serves_at_hwm () =
   let s, service, ctl, engine = serve_scenario () in

@@ -145,6 +145,21 @@ let test_env_domains () =
                 (fun () -> ignore (C.Service.env_domains ()))))
         [ "0"; "-2"; "four" ])
 
+(* Query footprints are recorded only on request: a default service keeps
+   none, however long it runs. *)
+let test_no_footprints_by_default () =
+  let s, service = service_scenario () in
+  random_txns (Prng.create ~seed:141) s 30;
+  ignore (C.Service.step_all service ~budget:max_int);
+  List.iter
+    (fun name ->
+      let ctx = C.Controller.ctx (C.Service.controller service name) in
+      Alcotest.(check bool) (name ^ " ran queries") true
+        (C.Counters.count ctx.C.Ctx.counters C.Counters.queries > 0);
+      Alcotest.(check bool) (name ^ " keeps no footprint log") true
+        (ctx.C.Ctx.footprints = None))
+    (C.Service.names service)
+
 let suite =
   [
     Alcotest.test_case "register and names" `Quick test_register_and_names;
@@ -155,4 +170,6 @@ let suite =
     Alcotest.test_case "gc_all" `Quick test_gc_all;
     Alcotest.test_case "unknown view" `Quick test_unknown_view;
     Alcotest.test_case "ROLL_DOMAINS parsing" `Quick test_env_domains;
+    Alcotest.test_case "no footprints by default" `Quick
+      test_no_footprints_by_default;
   ]

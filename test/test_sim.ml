@@ -119,8 +119,8 @@ let test_empty_run () =
 let test_propagation_txns_built_from_footprints () =
   let footprints =
     [
-      { Roll_core.Stats.exec = 1; description = "q1"; reads = [ ("r", 100) ]; emitted = 10 };
-      { Roll_core.Stats.exec = 2; description = "q2"; reads = [ ("s", 50) ]; emitted = 0 };
+      { Roll_core.Ctx.exec = 1; description = "q1"; reads = [ ("r", 100) ]; emitted = 10 };
+      { Roll_core.Ctx.exec = 2; description = "q2"; reads = [ ("s", 50) ]; emitted = 0 };
     ]
   in
   let txns =
@@ -176,7 +176,7 @@ let test_poisson_streams () =
 let test_small_txns_reduce_update_waits () =
   let footprints =
     List.init 50 (fun i ->
-        { Roll_core.Stats.exec = i; description = "q"; reads = [ ("r", 2000) ]; emitted = 100 })
+        { Roll_core.Ctx.exec = i; description = "q"; reads = [ ("r", 2000) ]; emitted = 100 })
   in
   let model = Contention.default_costs in
   let updates rng_seed =
@@ -221,7 +221,7 @@ let suite =
 (* Who-blocks-whom under parallel waves: items with disjoint windows over
    distinct views share no exclusive resource, so the model predicts zero
    mutual blocking — a wave's makespan is its slowest item, not the sum. *)
-let wave_fp table : Roll_core.Stats.footprint =
+let wave_fp table : Roll_core.Ctx.footprint =
   {
     exec = 0;
     description = "wave step";

@@ -274,26 +274,40 @@ let test_percentiles () =
 
 let suite = suite @ [ Alcotest.test_case "percentiles" `Quick test_percentiles ]
 
-(* Stats: counters, footprint retention toggle, reset. *)
+(* Counters: declared series, one snapshot, reset. *)
 let test_stats_module () =
-  let module Stats = Roll_core.Stats in
-  let st = Stats.create () in
-  let fp rows =
-    { Stats.exec = 1; description = "q"; reads = [ ("r", rows) ]; emitted = 2 }
-  in
-  Stats.record_query st (fp 10);
-  Stats.incr_compute_delta_calls st;
-  Alcotest.(check int) "queries" 1 (Stats.queries st);
-  Alcotest.(check int) "rows read" 10 (Stats.rows_read st);
-  Alcotest.(check int) "rows emitted" 2 (Stats.rows_emitted st);
-  Alcotest.(check int) "cd calls" 1 (Stats.compute_delta_calls st);
-  Alcotest.(check int) "footprints kept" 1 (List.length (Stats.footprints st));
-  Stats.set_keep_footprints st false;
-  Stats.record_query st (fp 5);
-  Alcotest.(check int) "counters still updated" 15 (Stats.rows_read st);
-  Alcotest.(check int) "footprint dropped" 1 (List.length (Stats.footprints st));
-  Stats.reset st;
-  Alcotest.(check int) "reset" 0 (Stats.queries st);
-  Alcotest.(check int) "reset footprints" 0 (List.length (Stats.footprints st))
+  let module Counters = Roll_core.Counters in
+  let st = Counters.create () in
+  Counters.incr st Counters.queries;
+  Counters.add st Counters.rows_read 10.;
+  Counters.add st Counters.rows_emitted 2.;
+  Counters.incr st Counters.compute_delta_calls;
+  Counters.add_by st Counters.resource_scanned "r" 4.;
+  Alcotest.(check int) "queries" 1 (Counters.count st Counters.queries);
+  Alcotest.(check int) "rows read" 10 (Counters.count st Counters.rows_read);
+  Alcotest.(check int) "rows emitted" 2 (Counters.count st Counters.rows_emitted);
+  Alcotest.(check int) "cd calls" 1 (Counters.count st Counters.compute_delta_calls);
+  let snapshot = Roll_obs.Metrics.snapshot (Counters.metrics st) in
+  Alcotest.(check (float 0.)) "read from a snapshot" 10.
+    (Counters.read snapshot Counters.rows_read);
+  Alcotest.(check (option (float 0.))) "labeled series in the registry" (Some 4.)
+    (Roll_obs.Metrics.find_value (Counters.metrics st)
+       ~labels:[ ("resource", "r") ]
+       "roll_resource_rows_scanned_total");
+  Alcotest.(check (list string)) "label values" [ "r" ]
+    (Counters.values st Counters.resource_scanned);
+  Alcotest.(check string) "pp"
+    "roll_compute_delta_calls_total=1 roll_queries_total=1 \
+     roll_rows_emitted_total=2 roll_rows_read_total=10"
+    (Format.asprintf "%a" Counters.pp st);
+  Alcotest.(check bool) "negative increment refused" true
+    (try
+       Counters.add st Counters.queries (-1.);
+       false
+     with Invalid_argument _ -> true);
+  Counters.reset st;
+  Alcotest.(check int) "reset" 0 (Counters.count st Counters.queries);
+  Alcotest.(check (float 0.)) "reset labeled" 0.
+    (Counters.get_by st Counters.resource_scanned "r")
 
 let suite = suite @ [ Alcotest.test_case "stats module" `Quick test_stats_module ]
