@@ -682,7 +682,7 @@ let ablation_indexes () =
     [ 500; 2000; 8000 ];
   table
     ~title:
-      "A4 (ablation): propagation with hash-join scans vs B+-tree index probes (rows touched / ms)"
+      "A4 (ablation): propagation with hash-join scans vs secondary-index probes (rows touched / ms)"
     ~header:[ "base rows/table"; "scans"; "index probes"; "row reduction" ]
     (List.rev !rows)
 

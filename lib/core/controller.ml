@@ -92,19 +92,24 @@ let set_durable t durable =
   t.durable <- durable;
   if durable && not was then record_frontier t
 
+(* In-memory indexes are cheap to maintain and die with the process, so
+   every view gets them at create and again at recover. A paged index is
+   one more B-tree written on every commit; the paged store indexes only
+   on request. *)
 let build_join_indexes db view =
-  List.iter
-    (fun atom ->
-      match atom with
-      | Roll_relation.Predicate.Join (a, b) ->
-          List.iter
-            (fun (c : Roll_relation.Predicate.col) ->
-              Roll_storage.Table.create_index
-                (Database.table db (View.source_table view c.source))
-                ~columns:[ c.column ])
-            [ a; b ]
-      | Roll_relation.Predicate.Cmp _ -> ())
-    (View.predicate view)
+  if Database.store db = None then
+    List.iter
+      (fun atom ->
+        match atom with
+        | Roll_relation.Predicate.Join (a, b) ->
+            List.iter
+              (fun (c : Roll_relation.Predicate.col) ->
+                Roll_storage.Table.create_index
+                  (Database.table db (View.source_table view c.source))
+                  ~columns:[ c.column ])
+              [ a; b ]
+        | Roll_relation.Predicate.Cmp _ -> ())
+      (View.predicate view)
 
 (* Wiring one observability handle across the whole maintenance stack:
    the context carries it, and the database / capture process report into
@@ -116,9 +121,9 @@ let install_obs db capture (ctx : Ctx.t) = function
       Database.set_obs db obs;
       Capture.set_obs capture obs
 
-let create ?(geometry = false) ?(auto_index = false) ?(durable = false) ?obs db
-    capture view ~algorithm =
-  if auto_index then build_join_indexes db view;
+let create ?(geometry = false) ?(durable = false) ?obs db capture view
+    ~algorithm =
+  build_join_indexes db view;
   let ctx = Ctx.create db capture view in
   install_obs db capture ctx obs;
   let apply = Apply.create_materialized ctx in
@@ -549,10 +554,8 @@ let regenerate rolling ~(trajectory : Frontier.t list) ~(last : Frontier.t)
     replay_rolling rolling last.Frontier.tfwd
   end
 
-let recover_body ~geometry ~auto_index ?checkpoint ~obs db capture view
-    ~algorithm =
-  (* Secondary indexes are in-memory state and die with the process. *)
-  if auto_index then build_join_indexes db view;
+let recover_body ~geometry ?checkpoint ~obs db capture view ~algorithm =
+  build_join_indexes db view;
   let name = View.name view in
   Capture.advance capture;
   let wal = Database.wal db in
@@ -671,11 +674,10 @@ let recover_body ~geometry ~auto_index ?checkpoint ~obs db capture view
       m "view %s recovered: hwm=%d as_of=%d (%s)" name (hwm t) (as_of t) source);
   t
 
-let recover ?(geometry = false) ?(auto_index = false) ?checkpoint ?obs db
-    capture view ~algorithm =
+let recover ?(geometry = false) ?checkpoint ?obs db capture view ~algorithm
+    =
   let go () =
-    recover_body ~geometry ~auto_index ?checkpoint ~obs db capture view
-      ~algorithm
+    recover_body ~geometry ?checkpoint ~obs db capture view ~algorithm
   in
   match obs with
   | Some o when Roll_obs.Obs.tracing o ->

@@ -37,7 +37,6 @@ type t
 
 val create :
   ?geometry:bool ->
-  ?auto_index:bool ->
   ?durable:bool ->
   ?obs:Roll_obs.Obs.t ->
   Roll_storage.Database.t ->
@@ -46,11 +45,12 @@ val create :
   algorithm:algorithm ->
   t
 (** Materializes the view from current state and starts maintenance at that
-    time. The capture process must have all source tables attached. With
-    [auto_index] (default false), a single-column secondary index is created
-    on every base-table column the view equi-joins on, so propagation
-    queries probe instead of scanning
-    (see {!Roll_storage.Table.create_index}). With [durable] (default
+    time. The capture process must have all source tables attached. On a
+    memory store, every base-table column the view equi-joins on first
+    gets a single-column secondary index, so propagation queries probe
+    instead of hashing whole tables
+    (see {!Roll_storage.Table.create_index}); the paged store indexes only
+    what callers ask for. With [durable] (default
     false), the controller records its initial frontier and every advancing
     step's frontier as WAL markers, making the maintenance state
     recoverable with {!recover}. With [obs], the Rollscope handle is
@@ -59,7 +59,6 @@ val create :
 
 val recover :
   ?geometry:bool ->
-  ?auto_index:bool ->
   ?checkpoint:string ->
   ?obs:Roll_obs.Obs.t ->
   Roll_storage.Database.t ->

@@ -233,10 +233,12 @@ let add_part ?key p c =
       key;
     }
   in
-  index p part;
   Relation.iter
     (fun tuple count -> Table.apply_change part.mirror tuple count)
     (Controller.contents c);
+  (* Indexing the loaded mirror backfills each index in one pass, into a
+     table sized for the rows. *)
+  index p part;
   sync part;
   p.parts <- p.parts @ [ part ];
   part

@@ -41,6 +41,14 @@ type status = {
 
 type step_error = { view : string; point : string; hit : int; attempts : int }
 
+(* The per-item histograms, resolved when the service is created with
+   observability on, so an executed item takes no registry lock. *)
+type item_hists = {
+  latency : string -> Roll_obs.Metrics.histogram;  (** by item kind *)
+  window_width : Roll_obs.Metrics.histogram;
+  rows_emitted : Roll_obs.Metrics.histogram;
+}
+
 type t = {
   db : Database.t;
   capture : Capture.t;
@@ -49,6 +57,7 @@ type t = {
   memo : Memo.t;  (** the shared drain-scoped delta memo (enabled iff sharing) *)
   default_sla : int;
   obs : Roll_obs.Obs.t;
+  item_hists : item_hists option;  (** [Some] iff [obs] is enabled *)
   pool : Roll_util.Dpool.t;  (** the slots every drain's waves run on *)
   mutable gc_threshold : int;
   mutable entries : entry list;  (** registration order *)
@@ -192,6 +201,26 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
     Capture.set_obs capture obs
   end;
   let partials = Partial.create db capture in
+  let item_hists =
+    if Roll_obs.Obs.enabled obs then
+      let m = Roll_obs.Obs.metrics obs in
+      Some
+        {
+          latency =
+            Roll_obs.Metrics.histogram_by m
+              ~help:"Wall-clock seconds per executed work item" ~key:"kind"
+              "roll_item_latency_seconds";
+          window_width =
+            Roll_obs.Metrics.histogram m
+              ~help:"Delta-window width of executed propagate steps, in commits"
+              "roll_step_window_width";
+          rows_emitted =
+            Roll_obs.Metrics.histogram m
+              ~help:"View-delta rows emitted per propagate step"
+              "roll_step_rows_emitted";
+        }
+    else None
+  in
   let t =
   {
     db;
@@ -201,6 +230,7 @@ let create ?policy ?cost_weight ?capture_batch ?sharing ?auxiliary ?hotset
     memo = Memo.create ~enabled:sharing ();
     default_sla;
     obs;
+    item_hists;
     pool = Roll_util.Dpool.create ~domains ();
     gc_threshold;
     entries = [];
@@ -597,30 +627,18 @@ let mark_failed obs (f : step_error) =
 (* Per-item metrics of an executed item; [emitted] counts the view-delta
    rows a propagate item appended. *)
 let item_metrics t (s : Scheduler.scored) ~wall ~emitted =
-  if Roll_obs.Obs.enabled t.obs then begin
-    let m = Roll_obs.Obs.metrics t.obs in
-    let kind = Scheduler.kind_name s.Scheduler.item in
-    Roll_obs.Metrics.observe
-      (Roll_obs.Metrics.histogram m
-         ~help:"Wall-clock seconds per executed work item"
-         ~labels:[ ("kind", kind) ]
-         "roll_item_latency_seconds")
-      wall;
-    (match s.Scheduler.window with
-    | Some (_, lo, hi) ->
-        Roll_obs.Metrics.observe
-          (Roll_obs.Metrics.histogram m
-             ~help:"Delta-window width of executed propagate steps, in commits"
-             "roll_step_window_width")
-          (float_of_int (hi - lo))
-    | None -> ());
-    if String.equal kind "propagate" then
-      Roll_obs.Metrics.observe
-        (Roll_obs.Metrics.histogram m
-           ~help:"View-delta rows emitted per propagate step"
-           "roll_step_rows_emitted")
-        (float_of_int (max 0 emitted))
-  end
+  match t.item_hists with
+  | None -> ()
+  | Some h -> (
+      let module M = Roll_obs.Metrics in
+      M.observe (h.latency (Scheduler.kind_name s.Scheduler.item)) wall;
+      (match s.Scheduler.window with
+      | Some (_, lo, hi) -> M.observe h.window_width (float_of_int (hi - lo))
+      | None -> ());
+      match s.Scheduler.item with
+      | Scheduler.Propagate_step _ ->
+          M.observe h.rows_emitted (float_of_int (max 0 emitted))
+      | _ -> ())
 
 type outcome =
   | Not_run

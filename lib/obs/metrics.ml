@@ -160,6 +160,21 @@ let histogram t ?(help = "") ?(labels = []) ?buckets name =
     bounds;
   series t (family t ~name ~help ~kind:Histogram ~bounds:(Some bounds)) labels
 
+let histogram_by t ?help ?buckets ~key name =
+  let cache = Atomic.make [] in
+  fun value ->
+    match List.assoc_opt value (Atomic.get cache) with
+    | Some h -> h
+    | None ->
+        let h = histogram t ?help ~labels:[ (key, value) ] ?buckets name in
+        let rec push () =
+          let old = Atomic.get cache in
+          if not (Atomic.compare_and_set cache old ((value, h) :: old)) then
+            push ()
+        in
+        push ();
+        h
+
 let rec atomic_add cell dv =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (old +. dv)) then atomic_add cell dv

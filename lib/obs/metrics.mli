@@ -55,6 +55,19 @@ val histogram :
 (** [buckets] are strictly increasing upper bounds (an implicit +inf
     bucket is appended); default {!log_linear} with its default range. *)
 
+val histogram_by :
+  t ->
+  ?help:string ->
+  ?buckets:float array ->
+  key:string ->
+  string ->
+  string ->
+  histogram
+(** [histogram_by t ~key name] resolves per label value: applied to [v],
+    it returns [name{key=v}]. Each value takes the registry lock once;
+    later calls hit a lock-free cache, so a per-event observation costs no
+    lock, label sort or bucket ladder. *)
+
 val observe : histogram -> float -> unit
 
 val log_linear : ?lo:float -> ?hi:float -> unit -> float array

@@ -47,15 +47,24 @@ type ticket = {
   mutable result : Protocol.response option;
 }
 
+(* Per-view read histograms, resolved once per view. *)
+type read_hists = {
+  wait : string -> Metrics.histogram;
+  staleness : string -> Metrics.histogram;
+}
+
 type t = {
   service : Service.t;
   db : Database.t;
   queue_limit : int;
-  mutex : Mutex.t;  (** guards [pending], [accepting] and the counters *)
+  mutex : Mutex.t;  (** guards [pending] and [accepting] *)
   mutable pending : ticket list;  (** newest first; {!pump} serves oldest first *)
   mutable accepting : bool;
-  mutable served : int;
-  mutable rejected : int;
+  counters : Counters.t;
+      (** reads no view owns: unknown views and reads shed by a full queue
+          or at shutdown. Every other read counts in its view's counters;
+          the engine's totals are the sum of the two. *)
+  read_hists : read_hists option;  (** [Some] iff observability is on *)
   (* Last materialized snapshot per view, keyed by serve time. Reads at a
      fixed (view, t) with [t <= hwm] are deterministic — the applied
      delta below the high-water mark is append-only — so bursts of
@@ -68,6 +77,23 @@ type t = {
 
 let create ?(queue_limit = 1024) db service =
   if queue_limit < 1 then invalid_arg "Engine.create: queue_limit < 1";
+  let obs = Service.obs service in
+  let read_hists =
+    if Obs.enabled obs then
+      let m = Obs.metrics obs in
+      Some
+        {
+          wait =
+            Metrics.histogram_by m ~key:"view"
+              ~help:"seconds admitted readers spent blocked on freshness"
+              "rolld_read_wait_seconds";
+          staleness =
+            Metrics.histogram_by m ~key:"view"
+              ~help:"commits behind current time at serve"
+              "rolld_read_staleness_commits";
+        }
+    else None
+  in
   let t =
     {
       service;
@@ -76,12 +102,17 @@ let create ?(queue_limit = 1024) db service =
       mutex = Mutex.create ();
       pending = [];
       accepting = true;
-      served = 0;
-      rejected = 0;
+      counters = Counters.create ();
+      read_hists;
       snapshots = Hashtbl.create 8;
       snapshot_hits = 0;
     }
   in
+  if Obs.enabled obs then
+    Metrics.register_collector (Obs.metrics obs) (fun () ->
+        Metrics.with_labels
+          [ ("scope", "engine") ]
+          (Metrics.snapshot (Counters.metrics t.counters)));
   (* Plug the blocked-reader census into the scheduler so drains
      prioritize views clients are waiting on. *)
   Service.set_read_demand service (fun view ->
@@ -101,9 +132,19 @@ let db t = t.db
 
 let pending t = Mutex.protect t.mutex (fun () -> List.length t.pending)
 
-let reads_served t = Mutex.protect t.mutex (fun () -> t.served)
+(* One read count: the views' own counters plus the engine's, so the
+   totals always equal the exported series. *)
+let total t c =
+  List.fold_left
+    (fun acc name ->
+      let counters = Controller.counters (Service.controller t.service name) in
+      acc + Counters.count counters c)
+    (Counters.count t.counters c)
+    (Service.names t.service)
 
-let reads_rejected t = Mutex.protect t.mutex (fun () -> t.rejected)
+let reads_served t = total t Counters.reads_served
+
+let reads_rejected t = total t Counters.reads_rejected
 
 let demand t view =
   Mutex.protect t.mutex (fun () ->
@@ -148,41 +189,31 @@ let submit t request =
   in
   let reject =
     Mutex.protect t.mutex (fun () ->
-        if not t.accepting then (
-          t.rejected <- t.rejected + 1;
-          Some Protocol.Shutting_down)
-        else if List.length t.pending >= t.queue_limit then (
-          t.rejected <- t.rejected + 1;
+        if not t.accepting then Some Protocol.Shutting_down
+        else if List.length t.pending >= t.queue_limit then
           Some
             (Protocol.Overloaded
-               { pending = List.length t.pending; limit = t.queue_limit }))
+               { pending = List.length t.pending; limit = t.queue_limit })
         else begin
           t.pending <- ticket :: t.pending;
           None
         end)
   in
   (match reject with
-  | Some r -> resolve ticket (Protocol.Rejected r)
+  | Some r ->
+      Counters.incr t.counters Counters.reads_rejected;
+      resolve ticket (Protocol.Rejected r)
   | None -> ());
   ticket
 
 (* Serving (pump thread only — the single place that touches the db). *)
 
 let observe_read t ~view ~wait ~staleness =
-  let obs = Service.obs t.service in
-  if Obs.enabled obs then begin
-    let m = Obs.metrics obs in
-    Metrics.observe
-      (Metrics.histogram m ~labels:[ ("view", view) ]
-         ~help:"seconds admitted readers spent blocked on freshness"
-         "rolld_read_wait_seconds")
-      wait;
-    Metrics.observe
-      (Metrics.histogram m ~labels:[ ("view", view) ]
-         ~help:"commits behind current time at serve"
-         "rolld_read_staleness_commits")
-      (float_of_int staleness)
-  end
+  match t.read_hists with
+  | None -> ()
+  | Some h ->
+      Metrics.observe (h.wait view) wait;
+      Metrics.observe (h.staleness view) (float_of_int staleness)
 
 let snapshot_rows t ~view ~ctl ~time =
   match Hashtbl.find_opt t.snapshots view with
@@ -210,26 +241,21 @@ let serve t ticket ~view ~ctl ~time =
   Counters.incr counters Counters.reads_served;
   Counters.add counters Counters.read_wait wait;
   observe_read t ~view ~wait ~staleness:(Database.now t.db - time);
-  Mutex.protect t.mutex (fun () -> t.served <- t.served + 1);
   resolve ticket (Protocol.Rows { view; at = time; hwm; wait; rows })
 
-let reject t ticket ?counters r =
-  Option.iter (fun c -> Counters.incr c Counters.reads_rejected) counters;
-  Mutex.protect t.mutex (fun () -> t.rejected <- t.rejected + 1);
+let reject t ticket ?(counters = t.counters) r =
+  Counters.incr counters Counters.reads_rejected;
   resolve ticket (Protocol.Rejected r)
 
 let status t =
-  let pending, served, rejected =
-    Mutex.protect t.mutex (fun () ->
-        (List.length t.pending, t.served, t.rejected))
-  in
+  let pending = Mutex.protect t.mutex (fun () -> List.length t.pending) in
   Json.Obj
     [
       ("now", Json.Int (Database.now t.db));
       ("domains", Json.Int (Service.domains t.service));
       ("pending", Json.Int pending);
-      ("served", Json.Int served);
-      ("rejected", Json.Int rejected);
+      ("served", Json.Int (reads_served t));
+      ("rejected", Json.Int (reads_rejected t));
       ("views", Service.status_json t.service);
     ]
 
@@ -295,9 +321,10 @@ let close t =
         t.accepting <- false;
         let orphans = t.pending in
         t.pending <- [];
-        t.rejected <- t.rejected + List.length orphans;
         orphans)
   in
+  Counters.add t.counters Counters.reads_rejected
+    (float_of_int (List.length orphans));
   List.iter
     (fun ticket -> resolve ticket (Protocol.Rejected Protocol.Shutting_down))
     orphans

@@ -19,7 +19,10 @@
 
     A STATUS report is [{"ok":true,"kind":"status","report":{...}}] whose
     report carries ["now"], ["domains"], ["pending"], ["served"],
-    ["rejected"] and ["views"]: one object per view with ["view"],
+    ["rejected"] and ["views"]. ["served"] and ["rejected"] sum the
+    exported [roll_reads_*_total] series: every view's, plus the engine's
+    ([scope="engine"]) for reads no view owns (unknown view, shed).
+    ["views"] holds one object per view with ["view"],
     ["role"] (["view"], ["aux"] or ["hot"]), ["as_of"], ["hwm"],
     ["staleness"], ["sla"], ["slack"], ["delta_rows"], ["paused"],
     ["partial_lag"], ["heavy_keys"], ["light_rows"] and ["counters"], an

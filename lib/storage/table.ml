@@ -1,18 +1,36 @@
 open Roll_relation
 
-module TupleBtree = Btree.Make (struct
+module Rows = Hashtbl.Make (struct
   type t = Tuple.t
 
-  let compare = Tuple.compare
+  let equal = Tuple.equal
+
+  (* Int columns hash inline rather than through a C call; the final mix
+     spreads every column into the low bits a table indexes by. *)
+  let hash t =
+    let h = ref 0 in
+    for i = 0 to Array.length t - 1 do
+      let v = match t.(i) with Value.Int n -> n | v -> Value.hash v in
+      h := (!h lxor v) * 0x100000001b3
+    done;
+    let h = !h lxor (!h lsr 29) in
+    (h lxor (h lsr 32)) land max_int
 end)
 
-type index = { columns : int list; data : Tuple.t TupleBtree.t }
+(* One key's rows with their multiplicities. Join keys are often unique
+   (a dimension's primary key), so a key with a single distinct row holds
+   it inline rather than in a table of its own. *)
+type bucket = One of { row : Tuple.t; mutable n : int } | Many of int Rows.t
+
+(* A memory index maps a projection key to its rows. Only equality probes
+   use an index, so it is hashed, not ordered; a hot key's rows are a
+   table too, so a delete costs O(1) however many copies share the key. *)
+type index = { columns : int list; cols : int array; keys : bucket Rows.t }
 
 type disk_index = { dcolumns : int list; dtree : Store.tree }
 
-(* Two backends behind one signature: the in-memory multiset + B-tree
-   indexes (the original representation, untouched so ROLL_STORE=mem is
-   byte-identical), and the paged store, where both the table contents
+(* Two backends behind one signature: the in-memory multiset + hash
+   indexes, and the paged store, where both the table contents
    and every index are {!Paged_btree}s. A disk index stores composite
    keys — projection ++ row — mapping to the row's multiplicity;
    [Tuple.compare] sorts same-arity composites lexicographically, so an
@@ -92,16 +110,29 @@ let count t tuple =
 
 let mem t tuple = count t tuple > 0
 
-let index_add index tuple n =
-  let key = Tuple.project tuple index.columns in
-  if n > 0 then
-    for _ = 1 to n do
-      TupleBtree.add index.data key tuple
-    done
-  else
-    for _ = 1 to -n do
-      ignore (TupleBtree.remove index.data ~equal:Tuple.equal key tuple)
-    done
+(* [before] is the row's multiplicity before the change, which the table
+   already read, so an update touches the key's rows once and never looks
+   the row up: with [before > 0], a [One] bucket under the key holds this
+   very row. *)
+let index_add ix tuple ~before n =
+  let key = Array.map (Array.get tuple) ix.cols in
+  let after = before + n in
+  match Rows.find_opt ix.keys key with
+  | None -> Rows.add ix.keys key (One { row = tuple; n = after })
+  | Some (One b) when before > 0 ->
+      if after = 0 then Rows.remove ix.keys key else b.n <- after
+  | Some (One b) ->
+      let rows = Rows.create 8 in
+      Rows.add rows b.row b.n;
+      Rows.add rows tuple after;
+      Rows.replace ix.keys key (Many rows)
+  | Some (Many rows) ->
+      if after = 0 then begin
+        Rows.remove rows tuple;
+        if Rows.length rows = 0 then Rows.remove ix.keys key
+      end
+      else if before = 0 then Rows.add rows tuple after
+      else Rows.replace rows tuple after
 
 let disk_index_key ix tuple = Array.append (Tuple.project tuple ix.dcolumns) tuple
 
@@ -114,7 +145,8 @@ let apply_change t tuple count =
           (Format.asprintf "Table %s: change %+d would make %a negative" t.name
              count Tuple.pp tuple);
       Relation.add m.data tuple count;
-      List.iter (fun index -> index_add index tuple count) m.indexes
+      if count <> 0 then
+        List.iter (fun ix -> index_add ix tuple ~before:current count) m.indexes
   | Disk d ->
       let current = Store.get d.store d.dtable tuple in
       if current + count < 0 then
@@ -139,9 +171,15 @@ let create_index t ~columns =
   match t.backend with
   | Mem m ->
       if not (List.exists (fun ix -> ix.columns = columns) m.indexes) then begin
-        let index = { columns; data = TupleBtree.create () } in
-        Relation.iter (fun tuple n -> index_add index tuple n) m.data;
-        m.indexes <- index :: m.indexes
+        let ix =
+          {
+            columns;
+            cols = Array.of_list columns;
+            keys = Rows.create (max 16 (Relation.distinct_count m.data));
+          }
+        in
+        Relation.iter (fun tuple n -> index_add ix tuple ~before:0 n) m.data;
+        m.indexes <- ix :: m.indexes
       end
   | Disk d ->
       if not (List.exists (fun ix -> ix.dcolumns = columns) d.dindexes) then begin
@@ -189,14 +227,22 @@ let find_disk_index d ~columns =
   | Some ix -> ix
   | None -> raise Not_found
 
-let index_probe t ~columns key =
+let index_keys t ~columns =
   match t.backend with
-  | Mem m -> TupleBtree.find (find_mem_index m.indexes ~columns).data key
+  | Mem m -> Rows.length (find_mem_index m.indexes ~columns).keys
   | Disk d ->
       let ix = find_disk_index d.dindexes ~columns in
-      List.concat_map
-        (fun (tuple, n) -> List.init n (fun _ -> tuple))
-        (List.of_seq (disk_probe_seq t d ix key))
+      let karity = List.length columns in
+      let prefix (ck : Tuple.t) = Array.sub ck 0 karity in
+      fst
+        (Seq.fold_left
+           (fun (n, last) (ck, _) ->
+             let key = prefix ck in
+             match last with
+             | Some k when Tuple.equal k key -> (n, last)
+             | _ -> (n + 1, Some key))
+           (0, None)
+           (Store.seq d.store ix.dtree))
 
 let scan_cursor t =
   match t.backend with
@@ -211,46 +257,18 @@ let probe_cursor t ~columns key =
   match t.backend with
   | Mem m ->
       let ix = find_mem_index m.indexes ~columns in
-      Cursor.of_seq (fun () ->
-          Seq.map
-            (fun tuple -> { Cursor.tuple; count = 1; ts = Cursor.no_ts })
-            (List.to_seq (TupleBtree.find ix.data key)))
+      (match Rows.find_opt ix.keys key with
+      | None -> Cursor.empty ()
+      | Some (One b) ->
+          Cursor.of_list [ { Cursor.tuple = b.row; count = b.n; ts = Cursor.no_ts } ]
+      | Some (Many rows) ->
+          Cursor.of_seq (fun () ->
+              Seq.map
+                (fun (tuple, count) -> { Cursor.tuple; count; ts = Cursor.no_ts })
+                (Rows.to_seq rows)))
   | Disk d ->
       let ix = find_disk_index d.dindexes ~columns in
       Cursor.of_seq (fun () ->
           Seq.map
             (fun (tuple, count) -> { Cursor.tuple; count; ts = Cursor.no_ts })
             (disk_probe_seq t d ix key))
-
-let disk_probe_start t d ix key =
-  let pad = Array.make (row_arity t) Value.Null in
-  Store.seq_from d.store ix.dtree (Array.append key pad)
-
-let index_range_cursor t ~columns ~lo ~hi =
-  match t.backend with
-  | Mem m ->
-      let ix = find_mem_index m.indexes ~columns in
-      Cursor.of_seq (fun () ->
-          Seq.map
-            (fun (_key, tuple) -> { Cursor.tuple; count = 1; ts = Cursor.no_ts })
-            (TupleBtree.range_seq ix.data ~lo ~hi))
-  | Disk d ->
-      let ix = find_disk_index d.dindexes ~columns in
-      let karity = List.length columns in
-      let seq =
-        match lo with
-        | Some l -> disk_probe_start t d ix l
-        | None -> Store.seq d.store ix.dtree
-      in
-      Cursor.of_seq (fun () ->
-          seq
-          |> Seq.take_while (fun ((ck : Tuple.t), _) ->
-                 match hi with
-                 | None -> true
-                 | Some h -> Tuple.compare (Array.sub ck 0 karity) h <= 0)
-          |> Seq.map (fun (ck, count) ->
-                 {
-                   Cursor.tuple = Array.sub ck karity (row_arity t);
-                   count;
-                   ts = Cursor.no_ts;
-                 }))

@@ -39,10 +39,17 @@ val apply_change : t -> Roll_relation.Tuple.t -> int -> unit
 
 (** {1 Secondary indexes}
 
-    B+-tree indexes over a projection of the table's columns, maintained on
-    every committed change. The join executor probes them instead of
-    building a per-query hash index, which is what makes small propagation
-    queries cheap on large base tables. *)
+    Indexes over a projection of the table's columns, maintained on every
+    committed change. The join executor probes them instead of building a
+    per-query hash index, which is what makes small propagation queries
+    cheap on large base tables; {!Roll_core.Controller} indexes every
+    memory-store column a view equi-joins on.
+
+    An equality probe is the only access an index serves. In memory an
+    index is a hash table from projection key to that key's rows and
+    their counts, so probes and updates cost O(1) however many copies
+    share a key. On the paged store it is a B-tree over projection ++ row,
+    and a probe is a range scan over one key prefix. *)
 
 val create_index : t -> columns:int list -> unit
 (** Build (and thereafter maintain) an index keyed by the given columns;
@@ -53,9 +60,9 @@ val has_index : t -> columns:int list -> bool
 
 val indexed_columns : t -> int list list
 
-val index_probe : t -> columns:int list -> Roll_relation.Tuple.t -> Roll_relation.Tuple.t list
-(** All row copies whose projection on [columns] equals the key (one list
-    element per multiset copy). @raise Not_found if no such index. *)
+val index_keys : t -> columns:int list -> int
+(** Number of distinct keys the index holds: O(1) in memory, a scan of
+    the index on the paged store. @raise Not_found if no such index. *)
 
 (** {1 Cursors}
 
@@ -70,15 +77,6 @@ val scan_cursor : t -> Roll_relation.Cursor.t
 
 val probe_cursor :
   t -> columns:int list -> Roll_relation.Tuple.t -> Roll_relation.Cursor.t
-(** Index point probe: one count-1 row per stored copy matching the key.
-    @raise Not_found if no such index. *)
-
-val index_range_cursor :
-  t ->
-  columns:int list ->
-  lo:Roll_relation.Tuple.t option ->
-  hi:Roll_relation.Tuple.t option ->
-  Roll_relation.Cursor.t
-(** Ordered range scan over a secondary index: copies with
-    [lo <= key <= hi] (each bound optional), ascending by key.
+(** Index point probe: one row per distinct tuple whose projection on
+    [columns] equals the key, with its multiset count.
     @raise Not_found if no such index. *)

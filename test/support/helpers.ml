@@ -41,8 +41,8 @@ let two_table () =
   { db; capture; history = History.create db; view }
 
 (* Chain join: A(k, v) ⋈ B(k, l) ⋈ C(l, w). *)
-let three_table () =
-  let db = Database.create () in
+let three_table ?mode () =
+  let db = Database.create ?mode () in
   let _ = Database.create_table db ~name:"a" (Schema.make [ int_col "k"; int_col "v" ]) in
   let _ = Database.create_table db ~name:"b" (Schema.make [ int_col "k"; int_col "l" ]) in
   let _ = Database.create_table db ~name:"c" (Schema.make [ int_col "l"; int_col "w" ]) in

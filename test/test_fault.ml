@@ -55,6 +55,13 @@ let test_crash_between_propagate_and_apply () =
     (durable.C.Frontier.as_of < durable.C.Frontier.hwm);
   let s2, ctl2 = recover_fresh s ~algorithm:rolling_algo in
   check_matches_durable "recovered" durable ctl2 ~vectors:true;
+  (* Memory indexes die with the process; recovery builds them again. *)
+  if Database.store s2.db = None then
+    List.iter
+      (fun table ->
+        Alcotest.(check bool) (table ^ ".k indexed after recovery") true
+          (Table.has_index (Database.table s2.db table) ~columns:[ 0 ]))
+      [ "r"; "s" ];
   finish_and_check s2 ctl2
 
 (* Kill the process between a forward query and its compensation: the

@@ -333,6 +333,62 @@ let test_overload_and_shutdown () =
     (S.Engine.reads_rejected engine >= 4);
   drain service (* the service itself is untouched by engine close *)
 
+(* One read count: STATUS's totals equal the exported
+   roll_reads_*_total series, summed over the view's and the engine's,
+   after a session with a served read, a too_new reject, an unknown view
+   and a read shed by a full queue. *)
+let test_status_totals_match_export () =
+  let s = two_table () in
+  let obs = Roll_obs.Obs.create () in
+  let service = C.Service.create ~obs s.db s.capture in
+  let _ctl =
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 3))
+      s.view
+  in
+  let engine = S.Engine.create ~queue_limit:1 s.db service in
+  random_txns (Prng.create ~seed:605) s 15;
+  drain service;
+  let now = Database.now s.db in
+  let served = S.Engine.submit engine (P.Read_fresh "rs") in
+  expect_reject
+    (S.Engine.submit engine (P.Read_fresh "rs"))
+    (P.Overloaded { pending = 1; limit = 1 });
+  ignore (S.Engine.pump engine);
+  let too_new = S.Engine.submit engine (P.Read_at { view = "rs"; time = now + 5 }) in
+  ignore (S.Engine.pump engine);
+  let unknown = S.Engine.submit engine (P.Read_fresh "nope") in
+  ignore (S.Engine.pump engine);
+  (match S.Engine.poll served with
+  | Some (P.Rows _) -> ()
+  | _ -> Alcotest.fail "FRESH read was not served");
+  expect_reject too_new (P.Too_new { requested = now + 5; now });
+  expect_reject unknown (P.Unknown_view "nope");
+  let exported name =
+    List.fold_left
+      (fun acc (sf : Roll_obs.Metrics.sample_family) ->
+        if String.equal sf.sf_name name then
+          List.fold_left
+            (fun acc (p : Roll_obs.Metrics.point) -> acc + int_of_float p.p_value)
+            acc sf.points
+        else acc)
+      0
+      (Roll_obs.Metrics.snapshot (Roll_obs.Obs.metrics obs))
+  in
+  let status field =
+    match Json.member field (S.Engine.status engine) with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "STATUS has no %s count" field
+  in
+  Alcotest.(check int) "one read served" 1 (status "served");
+  Alcotest.(check int) "three reads rejected" 3 (status "rejected");
+  Alcotest.(check int) "served = exported series"
+    (exported "roll_reads_served_total") (status "served");
+  Alcotest.(check int) "rejected = exported series"
+    (exported "roll_reads_rejected_total") (status "rejected");
+  Alcotest.(check int) "shutdown line agrees" (status "rejected")
+    (S.Engine.reads_rejected engine)
+
 (* The tentpole property: for a random update stream, a partial drain and
    random admitted targets t <= hwm, READ view AT t returns exactly the
    oracle's rows at t — and a read admitted beyond the hwm resolves to the
@@ -514,4 +570,6 @@ let suite =
     Alcotest.test_case "reads match the oracle (seeds 0-99, 1 and N domains)"
       `Slow test_reads_match_oracle;
     Alcotest.test_case "socket session end to end" `Quick test_socket_session;
+    Alcotest.test_case "STATUS read totals equal the exported series" `Quick
+      test_status_totals_match_export;
   ]
