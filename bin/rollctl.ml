@@ -537,6 +537,9 @@ let explain_cmd txns =
   let w = W.Nway.create (W.Nway.config ~n:3 ~initial_rows:100 ~seed:3 ()) in
   W.Nway.load_initial w;
   W.Nway.churn w ~n:txns;
+  (* The join indexes a registered view's controller builds, so the plans
+     are the ones its propagation steps run. *)
+  C.Controller.build_join_indexes (W.Nway.db w) (W.Nway.view w);
   let ctx =
     C.Ctx.create ~t_initial:0 (W.Nway.db w) (W.Nway.capture w) (W.Nway.view w)
   in

@@ -62,13 +62,27 @@ let roll_back_to t target =
       Relation.add t.store row.tuple (-row.count));
   t.as_of <- target
 
+(* The window between two times as sorted rows: (lo, hi] as it is, or
+   negated when rolling back. *)
+let window_rows t ~lo ~hi ~sign =
+  let rows = Array.make (Delta.window_count t.delta ~lo ~hi) ([||], 0) in
+  let i = ref 0 in
+  Delta.window_iter t.delta ~lo ~hi (fun (row : Delta.row) ->
+      rows.(!i) <- (row.tuple, sign * row.count);
+      incr i);
+  Sorted_rows.consolidate rows
+
+let roll_rows t ~hwm rows ~from time =
+  if time > hwm || from > hwm then
+    invalid_arg "Apply.roll_rows: time beyond high-water mark";
+  let delta =
+    if time >= from then window_rows t ~lo:from ~hi:time ~sign:1
+    else window_rows t ~lo:time ~hi:from ~sign:(-1)
+  in
+  Sorted_rows.merge rows delta
+
 let view_at t ~hwm time =
   if time > hwm then invalid_arg "Apply.view_at: time beyond high-water mark";
-  let snapshot = Relation.copy t.store in
-  if time >= t.as_of then Delta.apply_window t.delta ~lo:t.as_of ~hi:time snapshot
-  else
-    Delta.window_iter t.delta ~lo:time ~hi:t.as_of (fun (row : Delta.row) ->
-        Relation.add snapshot row.tuple (-row.count));
-  snapshot
+  roll_rows t ~hwm (Relation.sorted t.store) ~from:t.as_of time
 
 let prune_applied t = Delta.prune t.delta ~upto:t.as_of

@@ -39,11 +39,27 @@ val roll_back_to : t -> Roll_delta.Time.t -> unit
     (target, as_of] negated. Valid for any target not earlier than the time
     the delta starts at. *)
 
-val view_at : t -> hwm:Roll_delta.Time.t -> Roll_delta.Time.t -> Roll_relation.Relation.t
-(** [view_at t ~hwm time] is a snapshot of the view at any [time] between
-    the delta's start and [hwm], computed on a copy — the stored view and
-    [as_of] are untouched. This is the reader-side payoff of timestamped
-    deltas: historical reads without blocking or rewinding the view. *)
+val view_at :
+  t -> hwm:Roll_delta.Time.t -> Roll_delta.Time.t -> Roll_relation.Sorted_rows.t
+(** [view_at t ~hwm time] is the view's rows at any [time] between the
+    delta's start and [hwm], sorted: one pass over the stored view, with
+    the window (as_of, time] — or (time, as_of], negated — merged in. The
+    stored view and [as_of] are untouched. This is the reader-side payoff
+    of timestamped deltas: historical reads without blocking or rewinding
+    the view. *)
+
+val roll_rows :
+  t ->
+  hwm:Roll_delta.Time.t ->
+  Roll_relation.Sorted_rows.t ->
+  from:Roll_delta.Time.t ->
+  Roll_delta.Time.t ->
+  Roll_relation.Sorted_rows.t
+(** [roll_rows t ~hwm rows ~from time] moves [rows], the view's rows at
+    [from], to [time] (either direction) by merging in the view-delta rows
+    between the two times: O(n + k log k) for n rows and a window of k,
+    against a full {!view_at}'s O(n log n). Both times must lie between
+    the delta's start and [hwm]. *)
 
 val prune_applied : t -> int
 (** Garbage-collect view-delta rows already applied (timestamp <= as_of),

@@ -245,16 +245,25 @@ let gc t =
 
 let horizon t = t.gc_horizon
 
-(* Point-in-time snapshot of the view as of [time]: the stored contents
-   rolled forward (or backward) through the timed view delta. Callers must
-   keep [gc_horizon <= time <= hwm] — below the horizon the delta rows
-   needed to rewind were reclaimed, above the hwm they do not exist yet. *)
-let view_at t time =
+(* Point-in-time snapshot of the view as of [time], as sorted rows: the
+   stored contents rolled forward (or backward) through the timed view
+   delta. Callers must keep [gc_horizon <= time <= hwm] — below the
+   horizon the delta rows needed to rewind were reclaimed, above the hwm
+   they do not exist yet. *)
+let check_horizon t what time =
   if time < t.gc_horizon then
     invalid_arg
-      (Printf.sprintf "Controller.view_at: time %d below gc horizon %d" time
-         t.gc_horizon);
+      (Printf.sprintf "Controller.%s: time %d below gc horizon %d" what time
+         t.gc_horizon)
+
+let view_at t time =
+  check_horizon t "view_at" time;
   Apply.view_at t.apply ~hwm:(hwm t) time
+
+let roll_rows t rows ~from time =
+  check_horizon t "roll_rows" from;
+  check_horizon t "roll_rows" time;
+  Apply.roll_rows t.apply ~hwm:(hwm t) rows ~from time
 
 let counters t = t.ctx.Ctx.counters
 

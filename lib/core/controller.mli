@@ -35,6 +35,11 @@ type algorithm =
 
 type t
 
+val build_join_indexes : Roll_storage.Database.t -> View.t -> unit
+(** On a memory store, give every base-table column [view] equi-joins on a
+    single-column secondary index, as {!create} and {!recover} do; a no-op
+    on the paged store. Idempotent. *)
+
 val create :
   ?geometry:bool ->
   ?durable:bool ->
@@ -240,13 +245,24 @@ val horizon : t -> Roll_delta.Time.t
     time as of the last reclaiming {!gc} (the pruned delta prefix is
     gone), or the initial materialization time if gc never reclaimed. *)
 
-val view_at : t -> Roll_delta.Time.t -> Roll_relation.Relation.t
-(** Point-in-time snapshot: the view's contents as of exactly [time],
+val view_at : t -> Roll_delta.Time.t -> Roll_relation.Sorted_rows.t
+(** Point-in-time snapshot: the view's rows as of exactly [time], sorted,
     computed from the stored contents and the view delta without moving
     the controller ([as_of]/[hwm] are unchanged — unlike {!refresh_to}).
     Requires [horizon t <= time <= hwm t].
     @raise Invalid_argument when [time] is below {!horizon} (the server
     maps this to a typed [`Gc_horizon] rejection). *)
+
+val roll_rows :
+  t ->
+  Roll_relation.Sorted_rows.t ->
+  from:Roll_delta.Time.t ->
+  Roll_delta.Time.t ->
+  Roll_relation.Sorted_rows.t
+(** [roll_rows t rows ~from time] is [view_at t time] given [rows] =
+    [view_at t from], in time linear in the snapshot and not in its sort
+    ({!Apply.roll_rows}). Both times must lie in [[horizon t, hwm t]].
+    @raise Invalid_argument when either is below {!horizon}. *)
 
 val counters : t -> Counters.t
 

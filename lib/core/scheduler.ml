@@ -163,7 +163,9 @@ let note_ran ?(domain = 0) t item ~wall =
   let dk = (kind_name item, domain) in
   Hashtbl.replace t.by_domain dk
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.by_domain dk));
-  Hashtbl.remove t.first_seen (item_key item);
+  (* [plan] fills [first_seen] only when observability is on. *)
+  if Roll_obs.Obs.enabled t.obs then
+    Hashtbl.remove t.first_seen (item_key item);
   match item with
   | Propagate_step { view; _ } ->
       Hashtbl.replace t.rounds view (rounds_of t view + 1)

@@ -40,9 +40,17 @@ let fold f t acc = H.fold f t.tbl acc
 
 let to_seq t = H.to_seq t.tbl
 
-let to_list t =
-  let items = H.fold (fun tuple c acc -> (tuple, c) :: acc) t.tbl [] in
-  List.sort (fun (a, _) (b, _) -> Tuple.compare a b) items
+let sorted t =
+  let rows = Array.make (H.length t.tbl) ([||], 0) in
+  let i = ref 0 in
+  H.iter
+    (fun tuple c ->
+      rows.(!i) <- (tuple, c);
+      incr i)
+    t.tbl;
+  Sorted_rows.consolidate rows
+
+let to_list t = Array.to_list (sorted t)
 
 let of_list schema items =
   let t = create schema in

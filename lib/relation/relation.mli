@@ -39,6 +39,9 @@ val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> (Tuple.t * int) list
 (** Sorted by tuple, for deterministic output. *)
 
+val sorted : t -> Sorted_rows.t
+(** The rows of {!to_list}, as a fresh array. *)
+
 val to_seq : t -> (Tuple.t * int) Seq.t
 (** Lazy, unordered. The relation must not be mutated while the sequence is
     being consumed. *)

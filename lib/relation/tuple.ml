@@ -10,29 +10,42 @@ let concat = Array.append
 
 let project t idxs = Array.of_list (List.map (fun i -> t.(i)) idxs)
 
+(* The element loops here are top-level functions, not local closures over
+   the tuples: a closure would be allocated on every call, and these run
+   in every sort, every hash lookup on tuples and every row added to a
+   relation. Int columns, the common case, are compared inline. *)
+let rec conforms_from schema t i n =
+  i >= n
+  || Value.matches (Schema.column schema i).ty (Array.unsafe_get t i)
+     && conforms_from schema t (i + 1) n
+
 let conforms schema t =
-  Array.length t = Schema.arity schema
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i v -> if not (Value.matches (Schema.column schema i).ty v) then ok := false)
-         t;
-       !ok
-     end
+  let n = Array.length t in
+  n = Schema.arity schema && conforms_from schema t 0 n
+
+let compare_values x y =
+  match (x, y) with
+  | Value.Int x, Value.Int y -> Int.compare x y
+  | _ -> Value.compare x y
+
+let rec compare_from a b i n =
+  if i >= n then 0
+  else
+    let c = compare_values (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b (i + 1) n
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else
-    let rec loop i =
-      if i >= la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+  if la <> lb then Int.compare la lb else compare_from a b 0 la
 
-let equal a b = compare a b = 0
+let rec equal_from a b i n =
+  i >= n
+  || compare_values (Array.unsafe_get a i) (Array.unsafe_get b i) = 0
+     && equal_from a b (i + 1) n
+
+let equal a b =
+  let n = Array.length a in
+  n = Array.length b && equal_from a b 0 n
 
 let hash t =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t

@@ -19,8 +19,12 @@
       amount of waiting on this server can serve it;
     - [t < h]: rejected [gc_horizon] — the applied delta prefix below [h]
       was pruned, the snapshot is gone forever;
-    - [t <= hwm]: served immediately from the view delta
-      ({!Roll_core.Controller.view_at}), no maintenance needed;
+    - [t <= hwm]: served immediately from the view delta, no maintenance
+      needed: the view's last served snapshot is rolled to [t] through the
+      delta rows between the two times
+      ({!Roll_core.Controller.roll_rows}), and built in full
+      ({!Roll_core.Controller.view_at}) only when the view has none the
+      gc horizon has left reconstructible;
     - [hwm < t <= now]: {e queued}. The reader blocks until propagation
       rolls the high-water mark past [t]; queued readers are what the
       scheduler's reader boost counts ({!demand} is installed as the
@@ -34,7 +38,6 @@ module Service = Roll_core.Service
 module Controller = Roll_core.Controller
 module Counters = Roll_core.Counters
 module Database = Roll_storage.Database
-module Relation = Roll_relation.Relation
 module Obs = Roll_obs.Obs
 module Metrics = Roll_obs.Metrics
 module Json = Roll_util.Json
@@ -53,6 +56,14 @@ type read_hists = {
   staleness : string -> Metrics.histogram;
 }
 
+(* [ctl] is the controller the rows were built from: a view registered
+   again under the same name starts a new delta. *)
+type memo = {
+  ctl : Controller.t;
+  at : Roll_delta.Time.t;
+  rows : Roll_relation.Sorted_rows.t;
+}
+
 type t = {
   service : Service.t;
   db : Database.t;
@@ -65,13 +76,14 @@ type t = {
           or at shutdown. Every other read counts in its view's counters;
           the engine's totals are the sum of the two. *)
   read_hists : read_hists option;  (** [Some] iff observability is on *)
-  (* Last materialized snapshot per view, keyed by serve time. Reads at a
-     fixed (view, t) with [t <= hwm] are deterministic — the applied
-     delta below the high-water mark is append-only — so bursts of
-     clients asking for the same past time re-serve the rows without
-     another {!Controller.view_at} replay. Pump-thread only (like every
-     db touch); entries die when the gc horizon passes their time. *)
-  snapshots : (string, Roll_delta.Time.t * (Roll_relation.Tuple.t * int) list) Hashtbl.t;
+  (* The last snapshot served per view, as sorted rows, and its time.
+     Reads at a fixed (view, t) with [t <= hwm] are deterministic — the
+     applied delta below the high-water mark is append-only — so a read at
+     the memo's time re-serves its rows, and a read at any other servable
+     time rolls them there through the view delta between the two times
+     ({!Controller.roll_rows}) instead of rebuilding the whole snapshot.
+     Pump-thread only (like every db touch). *)
+  snapshots : (string, memo) Hashtbl.t;
   mutable snapshot_hits : int;
 }
 
@@ -215,21 +227,22 @@ let observe_read t ~view ~wait ~staleness =
       Metrics.observe (h.wait view) wait;
       Metrics.observe (h.staleness view) (float_of_int staleness)
 
+(* A full build sorts the whole view; rolling the memo sorts only the
+   window. The build is the fallback for a view with no memo yet, or
+   whose memo the gc horizon has passed (its window was pruned). *)
 let snapshot_rows t ~view ~ctl ~time =
+  let remember rows =
+    Hashtbl.replace t.snapshots view { ctl; at = time; rows };
+    rows
+  in
   match Hashtbl.find_opt t.snapshots view with
-  | Some (at, rows) when at = time && at >= Controller.horizon ctl ->
-      t.snapshot_hits <- t.snapshot_hits + 1;
-      rows
-  | cached ->
-      (* A cached time the horizon has passed is unservable anyway —
-         drop it rather than hold pruned history alive. *)
-      (match cached with
-      | Some (at, _) when at < Controller.horizon ctl ->
-          Hashtbl.remove t.snapshots view
-      | _ -> ());
-      let rows = Relation.to_list (Controller.view_at ctl time) in
-      Hashtbl.replace t.snapshots view (time, rows);
-      rows
+  | Some m when m.ctl == ctl && m.at >= Controller.horizon ctl ->
+      if m.at = time then begin
+        t.snapshot_hits <- t.snapshot_hits + 1;
+        m.rows
+      end
+      else remember (Controller.roll_rows ctl m.rows ~from:m.at time)
+  | _ -> remember (Controller.view_at ctl time)
 
 let snapshot_memo_hits t = t.snapshot_hits
 
@@ -241,7 +254,8 @@ let serve t ticket ~view ~ctl ~time =
   Counters.incr counters Counters.reads_served;
   Counters.add counters Counters.read_wait wait;
   observe_read t ~view ~wait ~staleness:(Database.now t.db - time);
-  resolve ticket (Protocol.Rows { view; at = time; hwm; wait; rows })
+  resolve ticket
+    (Protocol.Rows { view; at = time; hwm; wait; rows = Array.to_list rows })
 
 let reject t ticket ?(counters = t.counters) r =
   Counters.incr counters Counters.reads_rejected;
@@ -297,6 +311,11 @@ let step t ticket =
           | _ -> assert false))
   | _ -> assert false
 
+(* With no reader queued, the pump is idle time in the engine loop, so it
+   pays a major GC slice there: reads allocate too little to trigger the
+   slices that would otherwise run inside them, and without this the
+   collector's debt lands in the next maintenance drain instead, on the
+   commit-visibility path. *)
 let pump t =
   let batch =
     Mutex.protect t.mutex (fun () ->
@@ -304,6 +323,7 @@ let pump t =
         t.pending <- [];
         oldest_first)
   in
+  if batch = [] then ignore (Gc.major_slice 0);
   let still_pending, resolved =
     List.fold_left
       (fun (pending, resolved) ticket ->

@@ -122,13 +122,6 @@ let value_of_json = function
       | None -> Error "bad tagged float")
   | _ -> Error "bad value"
 
-let json_of_row (tuple, count) =
-  Json.List
-    [
-      Json.Int count;
-      Json.List (Array.to_list tuple |> List.map json_of_value);
-    ]
-
 let row_of_json = function
   | Json.List [ Json.Int count; Json.List vs ] ->
       let rec values acc = function
@@ -183,29 +176,65 @@ let json_of_reject reject =
      ]
     @ detail)
 
-let json_of_response = function
-  | Rows { view; at; hwm; wait; rows } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("kind", Json.Str "rows");
-          ("view", Json.Str view);
-          ("at", Json.Int at);
-          ("hwm", Json.Int hwm);
-          ("wait", Json.Float wait);
-          ("rows", Json.List (List.map json_of_row rows));
-        ]
-  | Status_report payload ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("kind", Json.Str "status");
-          ("report", payload);
-        ]
-  | Rejected reject -> json_of_reject reject
-  | Bye -> Json.Obj [ ("ok", Json.Bool true); ("kind", Json.Str "bye") ]
+(* Rows are most of what a server writes, so they are written straight
+   into the buffer, not built as a [Json.t] first: a row is
+   [[count,[v1,...]]]. Ints, finite floats and strings go through Json's
+   writers; the other values are rare and print their [json_of_value]
+   form, so each value has one encoding. *)
+let add_value buf = function
+  | Value.Int i -> Json.add_int buf i
+  | Value.Str s -> Json.add_quoted buf s
+  | Value.Float f when Float.is_finite f -> Json.add_float buf f
+  | v -> Buffer.add_string buf (Json.to_string (json_of_value v))
 
-let encode_response r = Json.to_string (json_of_response r)
+let add_row buf (tuple, count) =
+  Buffer.add_char buf '[';
+  Json.add_int buf count;
+  Buffer.add_string buf ",[";
+  for i = 0 to Array.length tuple - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    add_value buf tuple.(i)
+  done;
+  Buffer.add_string buf "]]"
+
+let encode_rows ~view ~at ~hwm ~wait rows =
+  let row_bytes =
+    match rows with [] -> 0 | (tuple, _) :: _ -> 8 + (8 * Array.length tuple)
+  in
+  let buf =
+    Buffer.create (96 + String.length view + (row_bytes * List.length rows))
+  in
+  Buffer.add_string buf {|{"ok":true,"kind":"rows","view":|};
+  Json.add_quoted buf view;
+  Buffer.add_string buf {|,"at":|};
+  Json.add_int buf at;
+  Buffer.add_string buf {|,"hwm":|};
+  Json.add_int buf hwm;
+  Buffer.add_string buf {|,"wait":|};
+  Json.add_float buf wait;
+  Buffer.add_string buf {|,"rows":[|};
+  List.iteri
+    (fun i row ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_row buf row)
+    rows;
+  Buffer.add_string buf "]}";
+  Buffer.contents buf
+
+let encode_response = function
+  | Rows { view; at; hwm; wait; rows } -> encode_rows ~view ~at ~hwm ~wait rows
+  | Status_report payload ->
+      Json.to_string
+        (Json.Obj
+           [
+             ("ok", Json.Bool true);
+             ("kind", Json.Str "status");
+             ("report", payload);
+           ])
+  | Rejected reject -> Json.to_string (json_of_reject reject)
+  | Bye ->
+      Json.to_string
+        (Json.Obj [ ("ok", Json.Bool true); ("kind", Json.Str "bye") ])
 
 let response_of_json json =
   let ( let* ) = Result.bind in

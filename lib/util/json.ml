@@ -30,6 +30,23 @@ let add_quoted buf s =
     s;
   Buffer.add_char buf '"'
 
+(* [string_of_int] without the string: digits are written from the most
+   significant one down by recursion on the non-positive value, which
+   also covers [min_int]. *)
+let rec add_digits buf n =
+  if n <> 0 then begin
+    add_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  end
+
+let add_int buf i =
+  if i = 0 then Buffer.add_char buf '0'
+  else if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
 (* A Float must reparse as Float (never Int) and must not lose bits, so
    it prints with a decimal point at round-trip precision. Non-finite
    floats have no JSON number form; callers that need them encode them

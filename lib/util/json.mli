@@ -21,6 +21,22 @@ val to_string : t -> string
     with a decimal point at round-trip precision, so it reparses as the
     same [Float]; a non-finite one prints [null]. *)
 
+(** {2 Writers}
+
+    The pieces {!to_string} prints, for encoders that write a large
+    document straight into a buffer instead of building its {!t} first:
+    they append exactly the bytes {!to_string} prints for the same
+    value. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [Int i]. Allocates nothing. *)
+
+val add_float : Buffer.t -> float -> unit
+(** [Float f]: [null] when [f] is not finite. *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** [Str s]: quoted and escaped. *)
+
 val pretty : t -> string
 (** Indented, newline-terminated, for files people read. A value stays on
     one line unless it holds a list of objects or lists; such a list gets

@@ -158,13 +158,28 @@ let test_view_at_snapshots () =
   let apply = C.Apply.create_empty ctx ~t_initial:Time.origin in
   let mid = target / 2 in
   C.Apply.roll_to apply ~hwm:target mid;
-  (* Snapshots forward and backward of as_of, without moving the view. *)
+  let oracle t =
+    Roll_relation.Relation.to_list (C.Oracle.view_at s.history s.view t)
+  in
+  let times = [ 0; mid / 2; mid; mid + ((target - mid) / 2); target ] in
+  (* Snapshots forward and backward of as_of, without moving the view,
+     as sorted rows. *)
   List.iter
     (fun t ->
-      let snap = C.Apply.view_at apply ~hwm:target t in
-      if not (Roll_relation.Relation.equal (C.Oracle.view_at s.history s.view t) snap)
-      then Alcotest.failf "snapshot wrong at t=%d" t)
-    [ 0; mid / 2; mid; mid + ((target - mid) / 2); target ];
+      if Array.to_list (C.Apply.view_at apply ~hwm:target t) <> oracle t then
+        Alcotest.failf "snapshot wrong at t=%d" t)
+    times;
+  (* Any snapshot rolls to any other time, forward or back. *)
+  List.iter
+    (fun from ->
+      let rows = C.Apply.view_at apply ~hwm:target from in
+      List.iter
+        (fun t ->
+          if Array.to_list (C.Apply.roll_rows apply ~hwm:target rows ~from t)
+             <> oracle t
+          then Alcotest.failf "snapshot at %d rolled to %d is wrong" from t)
+        times)
+    times;
   Alcotest.(check int) "as_of untouched" mid (C.Apply.as_of apply);
   Alcotest.(check bool) "beyond hwm rejected" true
     (try

@@ -267,6 +267,66 @@ let test_predicate_sources () =
     (max_source [ join (col 2 1) (col 0 0) ]);
   Alcotest.(check int) "max_source empty" (-1) (max_source [])
 
+(* --- Sorted rows --- *)
+
+(* Rolling a sorted snapshot by a raw delta (duplicates, cancelling rows,
+   zero counts) gives the sorted rows of the relation plus that delta. *)
+let prop_sorted_rows_merge =
+  QCheck.Test.make ~name:"merge (sorted R) (consolidate D) = sorted (R + D)"
+    ~count:300
+    QCheck.(
+      pair rel_arb
+        (list_of_size Gen.(0 -- 12)
+           (triple (int_range 0 3) (int_range 0 3) (int_range (-3) 3))))
+    (fun (r, d) ->
+      let raw =
+        Array.of_list (List.map (fun (a, b, c) -> (Tuple.ints [ a; b ], c)) d)
+      in
+      let merged =
+        Sorted_rows.merge (Relation.sorted r) (Sorted_rows.consolidate raw)
+      in
+      Array.to_list merged = Relation.to_list (Relation.union r (rel d)))
+
+(* Minor words allocated by [f], net of the measurement itself. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let e0 = Gc.minor_words () in
+  let e1 = Gc.minor_words () in
+  (w1 -. w0) -. (e1 -. e0)
+
+(* Tuple comparison runs in every sort and every hash lookup on tuples,
+   the schema check on every row added to a relation; a per-call closure
+   made a 3 570-row sort allocate 236k words. *)
+let test_tuple_compare_allocates_nothing () =
+  let col name ty = { Schema.name; ty } in
+  let schema =
+    Schema.make
+      [
+        col "k" Value.T_int;
+        col "s" Value.T_string;
+        col "f" Value.T_float;
+        col "v" Value.T_int;
+      ]
+  in
+  let tuple last =
+    Tuple.make [ Value.Int 1; Value.Str "x"; Value.Float 2.5; Value.Int last ]
+  in
+  let a = tuple 7 and b = tuple 8 in
+  let sink = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          sink := !sink + Tuple.compare a b;
+          if Tuple.equal a b then incr sink;
+          if not (Tuple.conforms schema a) then incr sink
+        done)
+  in
+  Alcotest.(check int) "compare result" (-1_000) !sink;
+  Alcotest.(check (float 0.))
+    "words allocated by 1 000 compare + equal + conforms" 0. words
+
 let suite =
   [
     Alcotest.test_case "value total order" `Quick test_value_order;
@@ -293,6 +353,9 @@ let suite =
     qtest prop_phi_join;
     qtest prop_select_project_commute;
     Alcotest.test_case "to_list deterministic" `Quick test_relation_to_list_sorted;
+    qtest prop_sorted_rows_merge;
+    Alcotest.test_case "tuple compare, equal and conforms allocate nothing"
+      `Quick test_tuple_compare_allocates_nothing;
     Alcotest.test_case "distinct vs total counts" `Quick test_relation_totals;
     Alcotest.test_case "predicate NULL semantics" `Quick test_predicate_null_semantics;
     Alcotest.test_case "predicate evaluation" `Quick test_predicate_eval;

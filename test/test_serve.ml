@@ -143,6 +143,98 @@ let test_decode_errors () =
       {|{"ok":false,"error":"too_new","message":"m"}|};
     ]
 
+(* The Rows encoder writes straight into a buffer; this is the [Json.t]
+   tree encoding of the same response, kept as the reference for its
+   bytes. *)
+let reference_json_of_value = function
+  | Value.Null -> Json.Null
+  | Value.Bool b -> Json.Bool b
+  | Value.Int i -> Json.Int i
+  | Value.Float f ->
+      if Float.is_finite f then Json.Float f
+      else Json.Obj [ ("float", Json.Str (string_of_float f)) ]
+  | Value.Str s -> Json.Str s
+
+let reference_rows_line ~view ~at ~hwm ~wait rows =
+  Json.to_string
+    (Json.Obj
+       [
+         ("ok", Json.Bool true);
+         ("kind", Json.Str "rows");
+         ("view", Json.Str view);
+         ("at", Json.Int at);
+         ("hwm", Json.Int hwm);
+         ("wait", Json.Float wait);
+         ( "rows",
+           Json.List
+             (List.map
+                (fun (tuple, count) ->
+                  Json.List
+                    [
+                      Json.Int count;
+                      Json.List
+                        (List.map reference_json_of_value
+                           (Array.to_list tuple));
+                    ])
+                rows) );
+       ])
+
+let rows_response_arb =
+  let open QCheck.Gen in
+  let extreme_int =
+    oneof
+      [ int; oneofl [ 0; -1; 1; min_int; max_int; min_int + 1; max_int - 1 ] ]
+  in
+  let float_value =
+    oneof
+      [
+        float;
+        oneofl
+          [
+            Float.nan; Float.infinity; Float.neg_infinity; 0.1; -0.0; 2.0; 1e300;
+          ];
+      ]
+  in
+  (* Quotes, backslashes, control bytes and high bytes all need care. *)
+  let str =
+    string_size
+      ~gen:
+        (oneof
+           [ printable; oneofl [ '"'; '\\'; '\n'; '\001'; '\x7f'; '\xe9' ] ])
+      (0 -- 8)
+  in
+  let value =
+    frequency
+      [
+        (4, map (fun i -> Value.Int i) extreme_int);
+        (2, map (fun f -> Value.Float f) float_value);
+        (2, map (fun s -> Value.Str s) str);
+        (1, return Value.Null);
+        (1, map (fun b -> Value.Bool b) bool);
+      ]
+  in
+  let row = pair (map Array.of_list (list_size (0 -- 4) value)) extreme_int in
+  let response =
+    map
+      (fun (view, (at, hwm), wait, rows) ->
+        P.Rows { view; at; hwm; wait; rows })
+      (quad str (pair extreme_int extreme_int) float_value
+         (list_size (0 -- 6) row))
+  in
+  QCheck.make ~print:P.encode_response response
+
+let prop_rows_encoder_matches_reference =
+  QCheck.Test.make ~name:"Rows encoder = Json.t reference, and decodes back"
+    ~count:500 rows_response_arb (fun r ->
+      match r with
+      | P.Rows { view; at; hwm; wait; rows } ->
+          let line = P.encode_response r in
+          String.equal line (reference_rows_line ~view ~at ~hwm ~wait rows)
+          (* A non-finite wait prints null, which has no float to decode. *)
+          && ((not (Float.is_finite wait))
+             || compare (P.decode_response line) (Ok r) = 0)
+      | _ -> false)
+
 (* Engine admission (inline, no sockets: submit + pump on one thread). *)
 
 let serve_scenario ?gc_threshold ?queue_limit () =
@@ -475,6 +567,28 @@ let run_reads ~seed ~domains =
     ignore (S.Engine.pump engine);
     check_rows "queued read" time (S.Engine.poll ticket)
   end;
+  (* One read per pump, so each is served from the previous read's
+     snapshot rolled forward or back to its own time. *)
+  let hop label =
+    let horizon = C.Controller.horizon ctl and hwm = C.Controller.hwm ctl in
+    for _ = 1 to 4 do
+      let time = horizon + Prng.int rng (hwm - horizon + 1) in
+      let ticket = S.Engine.submit engine (P.Read_at { view = "abc"; time }) in
+      ignore (S.Engine.pump engine);
+      check_rows label time (S.Engine.poll ticket)
+    done
+  in
+  hop "hop";
+  (* Across a gc: the horizon moves to the stored view's time, often past
+     the last snapshot's, which then cannot roll and is rebuilt; later
+     hops roll again. *)
+  random_txns rng s 10;
+  step 10_000;
+  C.Service.refresh_all service;
+  ignore (C.Service.gc_all service);
+  random_txns rng s 10;
+  step (2 + (seed mod 6));
+  hop "hop after gc";
   C.Service.shutdown service
 
 let test_reads_match_oracle () =
@@ -482,6 +596,77 @@ let test_reads_match_oracle () =
     run_reads ~seed ~domains:1;
     run_reads ~seed ~domains:pool_domains
   done
+
+(* Words allocated by [f]: minor allocations plus direct major ones.
+   [Gc.quick_stat] counts the minor heap only as of the last minor
+   collection, so the minor heap is emptied first and minor words are
+   read exactly. *)
+let allocated_words f =
+  Gc.minor ();
+  let m0 = Gc.minor_words () and before = Gc.quick_stat () in
+  f ();
+  let m1 = Gc.minor_words () and after = Gc.quick_stat () in
+  let major (s : Gc.stat) = s.major_words -. s.promoted_words in
+  m1 -. m0 +. (major after -. major before)
+
+(* A read at a new time rolls the last snapshot through the view delta
+   between the two times: a copy of the rows (and their list for the
+   response), not a copy of the view plus a sort. Copying the view and
+   sorting its rows on every read allocated about 97 words per row
+   here. *)
+let test_memo_roll_allocates_linear () =
+  let db = Database.create () in
+  let _ =
+    Database.create_table db ~name:"r"
+      (Roll_relation.Schema.make [ int_col "k"; int_col "v" ])
+  in
+  let capture = Roll_capture.Capture.create db in
+  Roll_capture.Capture.attach capture ~table:"r";
+  let b = C.View.binder db [ ("r", "r") ] in
+  let view =
+    C.View.create db ~name:"big" ~sources:[ ("r", "r") ] ~predicate:[]
+      ~project:[ b "r" "k"; b "r" "v" ]
+  in
+  let n = 3_000 in
+  ignore
+    (Database.run db (fun txn ->
+         for i = 1 to n do
+           Database.insert txn ~table:"r" (Tuple.ints [ i; i mod 7 ])
+         done));
+  let service = C.Service.create db capture in
+  let _ctl =
+    C.Service.register service
+      ~algorithm:(C.Controller.Rolling (C.Rolling.uniform 4))
+      view
+  in
+  let engine = S.Engine.create db service in
+  let read () =
+    let ticket = S.Engine.submit engine (P.Read_fresh "big") in
+    ignore (S.Engine.pump engine);
+    ticket
+  in
+  ignore (read ());
+  for i = 1 to 10 do
+    ignore
+      (Database.run db (fun txn ->
+           Database.insert txn ~table:"r" (Tuple.ints [ n + i; 0 ])))
+  done;
+  drain service;
+  let ticket = ref None in
+  let words = allocated_words (fun () -> ticket := Some (read ())) in
+  (match Option.bind !ticket S.Engine.poll with
+  | Some (P.Rows { rows; at; _ }) ->
+      Alcotest.(check int) "rows" (n + 10) (List.length rows);
+      Alcotest.(check bool) "rolled rows = oracle" true
+        (rows
+        = Relation.to_list
+            (C.Oracle.view_at (Roll_storage.History.create db) view at))
+  | _ -> Alcotest.fail "read not served");
+  let per_row = words /. float_of_int (n + 10) in
+  if per_row > 8. then
+    Alcotest.failf "rolling a %d-row snapshot by 10 rows: %.1f words per row"
+      (n + 10) per_row;
+  C.Service.shutdown service
 
 (* Socket session: a live server with maintenance ticking, a scripted
    client exchange covering every response kind, then a clean SHUTDOWN —
@@ -559,6 +744,7 @@ let suite =
       test_response_round_trip;
     Alcotest.test_case "response goldens" `Quick test_response_golden;
     Alcotest.test_case "response decode errors" `Quick test_decode_errors;
+    QCheck_alcotest.to_alcotest prop_rows_encoder_matches_reference;
     Alcotest.test_case "admission rules" `Quick test_admission;
     Alcotest.test_case "FRESH serves at the hwm" `Quick
       test_fresh_serves_at_hwm;
@@ -569,6 +755,8 @@ let suite =
       test_overload_and_shutdown;
     Alcotest.test_case "reads match the oracle (seeds 0-99, 1 and N domains)"
       `Slow test_reads_match_oracle;
+    Alcotest.test_case "memo roll allocates O(rows)" `Quick
+      test_memo_roll_allocates_linear;
     Alcotest.test_case "socket session end to end" `Quick test_socket_session;
     Alcotest.test_case "STATUS read totals equal the exported series" `Quick
       test_status_totals_match_export;
